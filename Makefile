@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/wire -run=^$$ -fuzz=^FuzzFrameRoundTrip$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wire -run=^$$ -fuzz=^FuzzBatchRoundTrip$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/pattern -run=^$$ -fuzz=^FuzzParsePattern$$ -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/partition -run=^$$ -fuzz=^FuzzDecodeFragment$$ -fuzztime=$(FUZZTIME)
 
 # docs fails when any package lacks a package comment or an
 # operator-facing document (README, wire spec) is missing/stale.
@@ -109,11 +110,11 @@ bench-serving:
 	$(GO) run ./cmd/benchfig -group serving -queries 4 -json BENCH_SERVING.json
 
 # bench-transport regenerates BENCH_TRANSPORT.json: in-process vs
-# loopback TCP at wire protocol 1 (per-message frames) vs the current
-# coalescing protocol (untraced and with per-query distributed tracing
-# on), with per-query frame and allocation columns and a pure
-# message-storm row at 64 sites. The pre-coalescing recording is
-# preserved in BENCH_TRANSPORT_PRE_COALESCE.json.
+# loopback TCP (untraced and with per-query distributed tracing on),
+# with per-query frame and allocation columns and a pure message-storm
+# row at 64 sites. Earlier recordings are preserved: before coalescing
+# in BENCH_TRANSPORT_PRE_COALESCE.json, and with the wire-protocol-1
+# (per-message frames) arm in BENCH_TRANSPORT_V1.json.
 bench-transport:
 	$(GO) run ./cmd/benchfig -group transport -scale 0.3 -json BENCH_TRANSPORT.json
 
@@ -154,5 +155,5 @@ help:
 	@echo "  bench-partition  regenerate BENCH_PARTITION.json (long)"
 	@echo "  bench-serving    regenerate BENCH_SERVING.json (long)"
 	@echo "  bench-planner    regenerate BENCH_PLANNER.json (plan on/off + watch sharing)"
-	@echo "  bench-transport  regenerate BENCH_TRANSPORT.json (v1 vs coalescing)"
+	@echo "  bench-transport  regenerate BENCH_TRANSPORT.json (in-process vs TCP, traced)"
 	@echo "  examples         run every example program"

@@ -19,13 +19,14 @@
 //	dgsrun -connect site1:7332,site2:7332 -algo dgpm ...
 //
 // The daemon can serve every algorithm compiled into it (this binary
-// imports all of them; the startup line lists the registry). It answers
-// the driver's PING heartbeats (wire protocol 3) and accepts REDEPLOY
-// frames, so a deployment that loses a sibling daemon can re-host the
+// imports all of them; the startup line lists the registry). It speaks
+// exactly one wire protocol version and refuses a driver announcing any
+// other in its HELLO, before any fragment is shipped. It answers the
+// driver's PING heartbeats and accepts REDEPLOY frames, so a deployment that loses a sibling daemon can re-host the
 // lost fragments here without restarting anything — a daemon listed as
 // a spare (dgs.WithSpareSites) idles until that moment. Protocol
-// details — handshake, fragment shipping, framing, versioning,
-// heartbeats, failover and tracing — are in docs/WIRE.md.
+// details — handshake, fragment shipping, framing, heartbeats, failover
+// and tracing — are in docs/WIRE.md.
 //
 // -metrics starts a second HTTP listener exposing the daemon's
 // counters in Prometheus text format at GET /metrics and the standard

@@ -122,18 +122,20 @@ var confAlgos = []Algorithm{
 
 // confModes are the transport backends the matrix runs over: the
 // in-process channel network, a deployment spanning two dgsd site
-// servers over loopback TCP (negotiating the current protocol, i.e.
-// the coalescing path), and the same deployment pinned to wire
-// protocol 1 so the per-message fallback answers the whole matrix too.
-// extra returns per-deployment DeployOptions (each TCP mode starts its
-// daemons once per test run and reuses them — a daemon serves one
-// deployment at a time and resets in between).
+// servers over loopback TCP, and the same deployment spread over four
+// servers, whose hosted ranges are uneven (six fragments land as
+// 2+2+1+1, four as one site per daemon) and whose driver fans every
+// superstep out over twice the sockets. The four-server mode keeps the
+// name tcp-v1 from when it pinned wire protocol 1. extra returns
+// per-deployment DeployOptions (each TCP mode starts its daemons once
+// per test run and reuses them — a daemon serves one deployment at a
+// time and resets in between).
 func confModes(t *testing.T) []struct {
 	name  string
 	extra func(t *testing.T) []DeployOption
 } {
 	t.Helper()
-	var tcpAddrs, tcpV1Addrs []string
+	var tcpAddrs, tcp4Addrs []string
 	return []struct {
 		name  string
 		extra func(t *testing.T) []DeployOption
@@ -152,23 +154,23 @@ func confModes(t *testing.T) []struct {
 			if testing.Short() {
 				t.Skip("loopback-TCP matrix skipped in -short mode")
 			}
-			if tcpV1Addrs == nil {
-				tcpV1Addrs = startSiteServers(t, 2)
+			if tcp4Addrs == nil {
+				tcp4Addrs = startSiteServers(t, 4)
 			}
-			return []DeployOption{WithRemoteSites(tcpV1Addrs...), WithWireProtocolMax(1)}
+			return []DeployOption{WithRemoteSites(tcp4Addrs...)}
 		}},
 	}
 }
 
 // TestConformanceMatrix — all seven algorithms × {cyclic, DAG, tree}
 // workloads × {Random, Blocks, TargetRatio, LDG, Fennel} partitions ×
-// {in-process, loopback-TCP} transports agree with centralized
-// Simulate.
+// {in-process, two-daemon TCP, four-daemon TCP} transports agree with
+// centralized Simulate.
 // Combinations outside an algorithm's preconditions (dGPMd needs a DAG
 // pattern or DAG graph; dGPMt needs a tree graph) are skipped
-// explicitly. On the TCP backend every deployment spans two dgsd
-// processes' worth of site servers and must additionally report real
-// measured wire bytes.
+// explicitly. On the TCP backends every deployment spans two or four
+// dgsd processes' worth of site servers and must additionally report
+// real measured wire bytes.
 func TestConformanceMatrix(t *testing.T) {
 	ctx := context.Background()
 	for _, mode := range confModes(t) {

@@ -127,7 +127,6 @@ type deployConfig struct {
 	transport   cluster.Transport
 	remoteAddrs []string
 	dialTimeout time.Duration
-	protoMax    uint16
 	spares      []string
 	hbInterval  time.Duration
 	hbMisses    int
@@ -160,16 +159,6 @@ func WithRemoteSites(addrs ...string) DeployOption {
 // WithRemoteSites deployment (default 30s).
 func WithDialTimeout(d time.Duration) DeployOption {
 	return func(dc *deployConfig) { dc.dialTimeout = d }
-}
-
-// WithWireProtocolMax caps the wire protocol version a WithRemoteSites
-// deployment offers its daemons; 0 (the default) means the newest this
-// build speaks. Pinning 1 forces per-message frames instead of
-// coalesced batches — the transport bench uses it to measure the
-// uncoalesced baseline, and it interoperates with daemons that predate
-// version negotiation.
-func WithWireProtocolMax(v uint16) DeployOption {
-	return func(dc *deployConfig) { dc.protoMax = v }
 }
 
 // WithTransport installs a caller-built Transport (expert use: tests,
@@ -307,7 +296,6 @@ func Deploy(part *Partition, opts ...DeployOption) (*Deployment, error) {
 		ctx := context.Background()
 		tr, err := tcpnet.Dial(ctx, dc.remoteAddrs, part.fr, tcpnet.Options{
 			DialTimeout:       dc.dialTimeout,
-			MaxProtocol:       dc.protoMax,
 			Spares:            dc.spares,
 			HeartbeatInterval: dc.hbInterval,
 			HeartbeatMisses:   dc.hbMisses,

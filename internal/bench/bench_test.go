@@ -212,14 +212,14 @@ func TestTransportGroupShape(t *testing.T) {
 		t.Fatalf("transport figures: %v", figs)
 	}
 	ds := figs[1]
-	if len(ds.Series) != 7 {
-		t.Fatalf("want inproc/tcp-v1/tcp/tcp-traced payload + three wire series, got %d", len(ds.Series))
+	if len(ds.Series) != 5 {
+		t.Fatalf("want inproc/tcp/tcp-traced payload + two wire series, got %d", len(ds.Series))
 	}
 	byName := map[string]Series{}
 	for _, s := range ds.Series {
 		byName[s.Name] = s
 	}
-	for _, arm := range []string{"tcp-v1", "tcp", "tcp-traced"} {
+	for _, arm := range []string{"tcp", "tcp-traced"} {
 		for i := range byName["wire/"+arm].Points {
 			wire := byName["wire/"+arm].Points[i].DSkb
 			payload := byName["dGPM/"+arm].Points[i].DSkb
@@ -236,21 +236,12 @@ func TestTransportGroupShape(t *testing.T) {
 			}
 		}
 	}
-	for i := range byName["wire/tcp"].Points {
-		// Coalescing must never move the same payload in more wire bytes
-		// than per-message framing (strict drops are asserted at real
-		// scale by TestCoalescingReducesFrames; at toy scale runs may not
-		// form, so no-increase is the invariant here).
-		if v2, v1 := byName["wire/tcp"].Points[i].DSkb, byName["wire/tcp-v1"].Points[i].DSkb; v2 > v1 {
-			t.Fatalf("point %d: coalescing wire %.2fKB above per-message wire %.2fKB", i, v2, v1)
-		}
-	}
 	// The PT panel carries the message-storm rows beside the dGPM arms.
 	names := map[string]bool{}
 	for _, s := range figs[0].Series {
 		names[s.Name] = true
 	}
-	for _, need := range []string{"dGPM/inproc", "dGPM/tcp-v1", "dGPM/tcp", "dGPM/tcp-traced", "storm/tcp-v1", "storm/tcp"} {
+	for _, need := range []string{"dGPM/inproc", "dGPM/tcp", "dGPM/tcp-traced", "storm/tcp"} {
 		if !names[need] {
 			t.Fatalf("net-pt missing series %q (have %v)", need, names)
 		}

@@ -1,21 +1,19 @@
 package bench
 
 // The transport experiment (beyond the paper's figures): the identical
-// dGPM workload served by three wire backends — the in-process channel
-// network (zero-cost links, the setting of every other figure), a
-// two-daemon loopback-TCP deployment pinned to wire protocol 1 (one
-// frame per message and per ack, the pre-coalescing path), and the same
-// deployment on the current protocol (MSGB/ACKN coalescing). Payload DS
-// is near-identical — the same protocol runs either way, modulo
+// dGPM workload served by the in-process channel network (zero-cost
+// links, the setting of every other figure) and by a two-daemon
+// loopback-TCP deployment (MSGB/ACKN coalescing). Payload DS is
+// near-identical — the same protocol runs either way, modulo
 // arrival-order effects on how the asynchronous fixpoint batches
 // falsifications — so the comparison isolates what a real wire adds
-// (measured frame/ack overhead and transport latency) and what
-// coalescing wins back (frames, wire bytes, allocations, PT at high
-// fragment counts). A fourth arm repeats the coalescing deployment
-// with per-query distributed tracing on, recording what exact span
-// collection costs on the same workload. This is the repro point for
-// the "bounded communication survives a real byte stream" claim, for
-// the coalescing optimization, and for tracing's overhead bound.
+// (measured frame/ack overhead and transport latency). A third arm
+// repeats the TCP deployment with per-query distributed tracing on,
+// recording what exact span collection costs on the same workload. This
+// is the repro point for the "bounded communication survives a real
+// byte stream" claim and for tracing's overhead bound. The per-message
+// wire-protocol-1 arm this group once carried is preserved in
+// BENCH_TRANSPORT_V1.json.
 
 import (
 	"context"
@@ -82,13 +80,12 @@ func registerStorm() {
 }
 
 // stormRun drives `phases` rounds over `sites` sites hosted by the
-// daemons at addrs, negotiating at most maxProto; each round is a burst
-// of `stormBursts` back-to-back broadcasts (so the wire carries
-// stormBursts×sites messages each way before the quiesce barrier — the
-// regime where frame throughput, not round-trip latency, sets the
-// pace). Returns mean wall per phase, total frames across the driver's
+// daemons at addrs; each round is a burst of `stormBursts` back-to-back
+// broadcasts (so the wire carries stormBursts×sites messages each way
+// before the quiesce barrier — the regime where frame throughput, not
+// round-trip latency, sets the pace). Returns mean wall per phase, total frames across the driver's
 // sockets, and driver bytes allocated — all per phase.
-func stormRun(addrs []string, sites, phases int, maxProto uint16) (ptMs float64, frames int64, allocKB float64, err error) {
+func stormRun(addrs []string, sites, phases int) (ptMs float64, frames int64, allocKB float64, err error) {
 	registerStorm()
 	b := graph.NewBuilder()
 	assign := make([]int32, sites)
@@ -104,7 +101,7 @@ func stormRun(addrs []string, sites, phases int, maxProto uint16) (ptMs float64,
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	tr, err := tcpnet.Dial(context.Background(), addrs, fr, tcpnet.Options{MaxProtocol: maxProto})
+	tr, err := tcpnet.Dial(context.Background(), addrs, fr, tcpnet.Options{})
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -146,11 +143,11 @@ func stormRun(addrs []string, sites, phases int, maxProto uint16) (ptMs float64,
 }
 
 // transportExp produces the "net-pt"/"net-ds" panels: PT and bytes per
-// fragment count |F|, for {in-process, TCP at protocol 1, TCP at the
-// current protocol}. The DS panel carries payload DS on each backend
-// (equal, by design) plus each TCP arm's measured wire bytes; every TCP
-// point also records the frames that crossed the driver's sockets and
-// the driver-process heap allocated per query (the -benchmem column).
+// fragment count |F|, for {in-process, TCP, TCP traced}. The DS panel
+// carries payload DS on each backend (equal, by design) plus each TCP
+// arm's measured wire bytes; every TCP point also records the frames
+// that crossed the driver's sockets and the driver-process heap
+// allocated per query (the -benchmem column).
 func transportExp(cfg Config) ([]*Figure, error) {
 	ctx := context.Background()
 	dict := dgs.NewDict()
@@ -174,27 +171,24 @@ func transportExp(cfg Config) ([]*Figure, error) {
 		opts  []dgs.DeployOption
 		qopts []dgs.QueryOption
 	}
-	// Planner off on every arm: protocol v4 ships the evaluation plan in
-	// OPEN while a v1 connection cannot, so with the planner on the arms
-	// would no longer carry identical control traffic and the wire
-	// comparison would measure plan blobs, not framing. The tcp-traced
-	// arm repeats the tcp arm with per-query distributed tracing on: its
-	// delta against tcp is the whole cost of exact span recording (the
-	// trace ID on OPEN, per-message recording at every site, and the
-	// TRACE frames chasing each CLOSE) — while tcp itself, running on a
-	// v5 connection with tracing off, demonstrates the byte-identity
-	// promise against the pre-trace recording of this same arm.
+	// Planner off on every arm, as in the preserved recordings
+	// (BENCH_TRANSPORT_PRE_COALESCE.json, BENCH_TRANSPORT_V1.json), so
+	// the rows stay comparable with them: a planned OPEN carries a plan
+	// blob the earlier arms never shipped. The tcp-traced arm repeats the
+	// tcp arm with per-query distributed tracing on: its delta against
+	// tcp is the whole cost of exact span recording (the trace ID on
+	// OPEN, per-message recording at every site, and the TRACE frames
+	// chasing each CLOSE).
 	arms := []arm{
 		{name: "inproc", opts: []dgs.DeployOption{dgs.WithPlannerDisabled()}},
-		{name: "tcp-v1", opts: []dgs.DeployOption{dgs.WithRemoteSites(addrs...), dgs.WithWireProtocolMax(1), dgs.WithPlannerDisabled()}},
 		{name: "tcp", opts: []dgs.DeployOption{dgs.WithRemoteSites(addrs...), dgs.WithPlannerDisabled()}},
 		{name: "tcp-traced", opts: []dgs.DeployOption{dgs.WithRemoteSites(addrs...), dgs.WithPlannerDisabled()},
 			qopts: []dgs.QueryOption{dgs.WithTrace()}},
 	}
 
 	fragCounts := []int{2, 4, 8, 64}
-	pt := &Figure{ID: "net-pt", Title: "in-process vs loopback TCP (v1 and coalescing), dGPM", XLabel: "|F|", YLabel: "PT (ms)"}
-	ds := &Figure{ID: "net-ds", Title: "in-process vs loopback TCP (v1 and coalescing), dGPM", XLabel: "|F|", YLabel: "DS (KB)"}
+	pt := &Figure{ID: "net-pt", Title: "in-process vs loopback TCP, dGPM", XLabel: "|F|", YLabel: "PT (ms)"}
+	ds := &Figure{ID: "net-ds", Title: "in-process vs loopback TCP, dGPM", XLabel: "|F|", YLabel: "DS (KB)"}
 	ptSeries := map[string]*Series{}
 	dsSeries := map[string]*Series{}
 	wireSeries := map[string]*Series{}
@@ -205,17 +199,7 @@ func transportExp(cfg Config) ([]*Figure, error) {
 			wireSeries[a.name] = &Series{Name: "wire/" + a.name}
 		}
 	}
-	stormArms := []struct {
-		name     string
-		maxProto uint16
-	}{
-		{"storm/tcp-v1", 1},
-		{"storm/tcp", 0},
-	}
-	stormSeries := map[string]*Series{}
-	for _, sa := range stormArms {
-		stormSeries[sa.name] = &Series{Name: sa.name}
-	}
+	storm := &Series{Name: "storm/tcp"}
 
 	for _, nf := range fragCounts {
 		part, err := dgs.PartitionTargetRatio(g, nf, dgs.ByVf, 0.25, cfg.Seed)
@@ -263,23 +247,19 @@ func transportExp(cfg Config) ([]*Figure, error) {
 				})
 			}
 		}
-		for _, sa := range stormArms {
-			ptPhase, frames, allocKB, err := stormRun(addrs, nf, 30, sa.maxProto)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", sa.name, err)
-			}
-			stormSeries[sa.name].Points = append(stormSeries[sa.name].Points, Point{
-				X: x, PTms: ptPhase, Msgs: int64(2 * stormBursts * nf), Frames: frames, AllocKB: allocKB,
-			})
+		ptPhase, frames, allocKB, err := stormRun(addrs, nf, 30)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", storm.Name, err)
 		}
+		storm.Points = append(storm.Points, Point{
+			X: x, PTms: ptPhase, Msgs: int64(2 * stormBursts * nf), Frames: frames, AllocKB: allocKB,
+		})
 	}
 	for _, a := range arms {
 		pt.Series = append(pt.Series, *ptSeries[a.name])
 		ds.Series = append(ds.Series, *dsSeries[a.name])
 	}
-	for _, sa := range stormArms {
-		pt.Series = append(pt.Series, *stormSeries[sa.name])
-	}
-	ds.Series = append(ds.Series, *wireSeries["tcp-v1"], *wireSeries["tcp"], *wireSeries["tcp-traced"])
+	pt.Series = append(pt.Series, *storm)
+	ds.Series = append(ds.Series, *wireSeries["tcp"], *wireSeries["tcp-traced"])
 	return []*Figure{pt, ds}, nil
 }

@@ -1,7 +1,7 @@
 package obs
 
 // The distributed query trace model. A traced query carries a nonzero
-// trace ID in its OPEN (wire protocol v5); every party that processes
+// trace ID in its OPEN (docs/WIRE.md); every party that processes
 // the query's messages — each worker site, wherever it is hosted, and
 // the driver-side coordinator — records per-round spans: how many
 // messages and payload bytes it received and sent while the site was
@@ -49,8 +49,7 @@ type SiteTrace struct {
 type QueryTrace struct {
 	TraceID uint64 `json:"trace_id"`
 	// Complete is false when some spans could not be collected — a
-	// pre-v5 daemon in the deployment (it never saw the trace ID), or a
-	// connection lost before its TRACE frame arrived.
+	// daemon connection lost before its TRACE frame arrived.
 	Complete bool        `json:"complete"`
 	Sites    []SiteTrace `json:"sites"`
 }

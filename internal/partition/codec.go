@@ -20,8 +20,15 @@ package partition
 // Graph-level node labels never change under live updates, so labels can
 // ship once at deploy time; edges are the mutable part and are mutated
 // in place by maintenance sessions after shipping.
+//
+// The bytes come off a socket, so DecodeFragment treats them as hostile:
+// every count is checked against the bytes left before anything is
+// sized from it, and the node lists must be strictly ascending (Local
+// and Virtual disjoint), as every Fragment keeps them. A decode that
+// succeeds therefore re-encodes to exactly the bytes it consumed.
 
 import (
+	"fmt"
 	"sort"
 
 	"dgs/internal/graph"
@@ -64,6 +71,50 @@ func AppendFragment(dst []byte, f *Fragment) []byte {
 	return dst
 }
 
+// Minimum encoded sizes, per element, that bound each on-wire count
+// against the bytes left: a local node is its id, label and (later) its
+// degree; a virtual node its id, label and owner; an in-node its id and
+// watcher count; watchers and edge targets are one u32 each.
+const (
+	minLocalSize   = 4 + 2 + 4
+	minVirtualSize = 4 + 2 + 4
+	minInNodeSize  = 4 + 4
+	u32Size        = 4
+)
+
+// readCount reads a u32 element count and refuses one that the remaining
+// bytes cannot hold at size bytes per element.
+func readCount(r *wire.ByteReader, size int, what string) (int, error) {
+	n, err := r.U32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n)*uint64(size) > uint64(r.Remaining()) {
+		return 0, fmt.Errorf("partition: %s count %d exceeds the %d bytes left", what, n, r.Remaining())
+	}
+	return int(n), nil
+}
+
+// readAscending reads n node IDs that must be strictly ascending; each
+// is followed by whatever per-node fields item reads.
+func readAscending(r *wire.ByteReader, n int, what string, item func(v graph.NodeID) error) ([]graph.NodeID, error) {
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		v, err := r.U32()
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 && v <= ids[i-1] {
+			return nil, fmt.Errorf("partition: %s node %d out of order after %d", what, v, ids[i-1])
+		}
+		ids[i] = v
+		if err := item(v); err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
+}
+
 // DecodeFragment parses one AppendFragment encoding from the front of b
 // and returns the fragment plus the remaining bytes.
 func DecodeFragment(b []byte) (*Fragment, []byte, error) {
@@ -80,67 +131,60 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 		InWatchers: make(map[graph.NodeID][]int),
 		crossCnt:   make(map[graph.NodeID]int),
 	}
-	nl, err := r.U32()
+	nl, err := readCount(r, minLocalSize, "local")
 	if err != nil {
 		return nil, nil, err
 	}
-	f.Local = make([]graph.NodeID, nl)
-	for i := range f.Local {
-		if f.Local[i], err = r.U32(); err != nil {
-			return nil, nil, err
-		}
+	if f.Local, err = readAscending(r, nl, "local", func(v graph.NodeID) error {
 		l, err := r.U16()
-		if err != nil {
-			return nil, nil, err
-		}
-		f.Labels[f.Local[i]] = l
+		f.Labels[v] = l
+		return err
+	}); err != nil {
+		return nil, nil, err
 	}
-	nv, err := r.U32()
+	nv, err := readCount(r, minVirtualSize, "virtual")
 	if err != nil {
 		return nil, nil, err
 	}
-	f.Virtual = make([]graph.NodeID, nv)
-	for i := range f.Virtual {
-		if f.Virtual[i], err = r.U32(); err != nil {
-			return nil, nil, err
+	if f.Virtual, err = readAscending(r, nv, "virtual", func(v graph.NodeID) error {
+		if _, dup := f.Labels[v]; dup {
+			return fmt.Errorf("partition: node %d both local and virtual", v)
 		}
 		l, err := r.U16()
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		owner, err := r.U32()
-		if err != nil {
-			return nil, nil, err
-		}
-		v := f.Virtual[i]
 		f.Labels[v] = l
 		f.Owner[v] = int(owner)
+		return err
+	}); err != nil {
+		return nil, nil, err
 	}
-	ni, err := r.U32()
+	ni, err := readCount(r, minInNodeSize, "in-node")
 	if err != nil {
 		return nil, nil, err
 	}
-	f.InNodes = make([]graph.NodeID, ni)
-	for i := range f.InNodes {
-		if f.InNodes[i], err = r.U32(); err != nil {
-			return nil, nil, err
-		}
-		nw, err := r.U32()
+	if f.InNodes, err = readAscending(r, ni, "in-node", func(v graph.NodeID) error {
+		nw, err := readCount(r, u32Size, "watcher")
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		ws := make([]int, nw)
 		for j := range ws {
 			w, err := r.U32()
 			if err != nil {
-				return nil, nil, err
+				return err
 			}
 			ws[j] = int(w)
 		}
-		f.InWatchers[f.InNodes[i]] = ws
+		f.InWatchers[v] = ws
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
 	for _, v := range f.Local {
-		deg, err := r.U32()
+		deg, err := readCount(r, u32Size, "edge")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -154,7 +198,7 @@ func DecodeFragment(b []byte) (*Fragment, []byte, error) {
 			}
 		}
 		f.Succ[v] = row
-		f.numEdges += int(deg)
+		f.numEdges += deg
 		for _, w := range row {
 			if f.IsVirtual(w) {
 				f.numCrossing++

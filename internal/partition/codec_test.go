@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dgs/internal/graph"
@@ -10,7 +12,7 @@ import (
 
 // randomFragmentation builds a labeled random graph and a random
 // assignment — enough structure to exercise every codec field.
-func randomFragmentation(t *testing.T, seed int64) *Fragmentation {
+func randomFragmentation(t testing.TB, seed int64) *Fragmentation {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
@@ -150,6 +152,90 @@ func TestFragmentDecodeRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+}
+
+// An on-wire count is checked against the bytes left before anything is
+// sized from it: 8 bytes claiming 2^32-1 local nodes fail without the
+// decoder asking for tens of GiB, and so does an oversized count at
+// every other level of the layout.
+func TestDecodeFragmentBoundsCounts(t *testing.T) {
+	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF}
+	zero := []byte{0, 0, 0, 0}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	inputs := map[string][]byte{
+		"local":   cat(zero, huge),
+		"virtual": cat(zero, zero, huge),
+		"in-node": cat(zero, zero, zero, huge),
+		"watcher": cat(zero, zero, zero, []byte{1, 0, 0, 0}, zero, huge),
+		"edge":    cat(zero, []byte{1, 0, 0, 0}, zero, []byte{0, 0}, zero, zero, huge),
+	}
+	for name, in := range inputs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeFragment(in)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: oversized count decoded", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("%s: rejecting %d bytes allocated %d bytes", name, len(in), alloc)
+		}
+	}
+}
+
+// Node lists must be strictly ascending (IsLocal/IsVirtual binary-search
+// them) and Local and Virtual disjoint; anything else is refused rather
+// than decoded into a fragment whose lookups silently lie.
+func TestDecodeFragmentRejectsMalformedNodeLists(t *testing.T) {
+	mk := func() *Fragment {
+		return &Fragment{
+			ID: 1, Local: []graph.NodeID{2, 4}, Virtual: []graph.NodeID{7},
+			Labels: map[graph.NodeID]graph.Label{2: 1, 4: 1, 7: 2},
+			Owner:  map[graph.NodeID]int{7: 0},
+			Succ:   map[graph.NodeID][]graph.NodeID{2: {7}},
+		}
+	}
+	if _, _, err := DecodeFragment(AppendFragment(nil, mk())); err != nil {
+		t.Fatalf("well-formed fragment refused: %v", err)
+	}
+	for name, mut := range map[string]func(g *Fragment){
+		"unsorted local":    func(g *Fragment) { g.Local = []graph.NodeID{4, 2} },
+		"duplicate local":   func(g *Fragment) { g.Local = []graph.NodeID{2, 2} },
+		"local and virtual": func(g *Fragment) { g.Virtual = []graph.NodeID{4} },
+		"duplicate in-node": func(g *Fragment) {
+			g.InNodes = []graph.NodeID{2, 2}
+			g.InWatchers = map[graph.NodeID][]int{2: {0}}
+		},
+	} {
+		g := mk()
+		mut(g)
+		if _, _, err := DecodeFragment(AppendFragment(nil, g)); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+	}
+}
+
+// FuzzDecodeFragment: DecodeFragment is the daemon's trust boundary for
+// DEPLOY and REDEPLOY, so no input may panic it, and a decode that
+// succeeds must be canonical — re-encoding the fragment reproduces
+// exactly the bytes it consumed.
+func FuzzDecodeFragment(f *testing.F) {
+	fr := randomFragmentation(f, 5)
+	for _, frag := range fr.Frags[:2] {
+		f.Add(AppendFragment(nil, frag))
+	}
+	f.Add([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		frag, rest, err := DecodeFragment(b)
+		if err != nil {
+			return
+		}
+		consumed := b[:len(b)-len(rest)]
+		if re := AppendFragment(nil, frag); !bytes.Equal(re, consumed) {
+			t.Fatalf("decode is not canonical:\nin  %x\nout %x", consumed, re)
+		}
+	})
 }
 
 // ApplyBatchLocal must agree with the distributed update session: same

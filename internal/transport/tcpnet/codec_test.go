@@ -1,20 +1,102 @@
 package tcpnet
 
-// Codec-level tests for the frame bodies and the chunk writer: buffer
-// ownership of decoded values that outlive their frame, the v2 DEPLOY
-// label table, ACKN aggregation, and the exact coalescing behavior of
-// writeChunk at both protocol versions.
+// Codec-level tests for the frame bodies and the chunk writer: golden
+// bytes pinning the wire format, buffer ownership of decoded values that
+// outlive their frame, the DEPLOY label table, ACKN aggregation, and the
+// exact coalescing behavior of writeChunk.
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
 	"dgs/internal/cluster"
+	"dgs/internal/graph"
 	"dgs/internal/obs"
+	"dgs/internal/partition"
 	"dgs/internal/wire"
 )
+
+// goldenFrames are complete frames (length prefix and type included) of
+// protocol version 5, recorded from the build that still negotiated
+// versions 1–5 while it spoke its default, newest version. They pin the
+// byte layout: any change to a frame codec that moves a byte fails here
+// and must come with a new ProtocolVersion.
+var goldenFrames = map[string]string{
+	"hello":         "07000000014447534e0500",
+	"open-planless": "1e00000005090000000000000000040000006467706d030000000102030100000004",
+	"open-planned":  "2e00000005090000000000000000040000006467706d03000000010203010000000406000000677265656479020000000506",
+	"open-traced":   "2e00000005090000000000000000040000006467706d0300000001020301000000040000000000000000efcdab0000000000",
+	"deploy": "7a0000000302000000010000000100000004000000000000000000000001000000010000000400000000000000010000006101000000620100000063" +
+		"010000000200000002000000010003000000030001000000000000000100000000000100000002000000010000000000000001000000030000000100000000000000",
+	"msgb-ackn": "2a0000000b03000000000000000c02000000ffffffff00000000020000000a010100000002000000020000000a02210000000c" +
+		"0300000000000000010000000200000096000000000000000300000000000000",
+}
+
+// goldenInputs rebuilds the values the golden frames were recorded from.
+func goldenInputs(t *testing.T) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{
+		"hello": wire.AppendFrame(nil, frameHello, appendU16([]byte(helloMagic), ProtocolVersion)),
+	}
+	base := cluster.SessionSpec{Algo: "dgpm", Query: []byte{1, 2, 3}, Config: []byte{4}} //lint:allow regconsistent — codec byte-identity probe, the spec never reaches a site
+	planned := base
+	planned.Planner, planned.Plan = "greedy", []byte{5, 6}
+	traced := base
+	traced.TraceID = 0xABCDEF
+	for name, spec := range map[string]cluster.SessionSpec{"open-planless": base, "open-planned": planned, "open-traced": traced} {
+		out[name] = wire.AppendFrame(nil, frameOpen, encodeOpen(openBody{qid: 9, kind: cluster.SessionQuery, spec: spec}))
+	}
+
+	b := graph.NewBuilder()
+	for _, l := range []string{"a", "b", "a", "c"} {
+		b.AddNode(l)
+	}
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	b.AddEdge(2, 3)
+	b.AddEdge(3, 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := partition.Build(g, []int32{0, 0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["deploy"] = wire.AppendFrame(nil, frameDeploy, deployBodyFor(fr, 2, []int{1}))
+
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeChunk(bw, []outEntry{
+		{kind: entryMsg, qid: 3, from: -1, to: 0, data: []byte{byte(wire.KindControl), 1}},
+		{kind: entryMsg, qid: 3, from: 1, to: 2, data: []byte{byte(wire.KindControl), 2}},
+		{kind: entryAck, qid: 3, site: 1, busyNs: 100, rounds: 2},
+		{kind: entryAck, qid: 3, site: 1, busyNs: 50, rounds: 1},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	out["msgb-ackn"] = buf.Bytes()
+	return out
+}
+
+// The wire format is pinned byte for byte: HELLO, OPEN in its planless,
+// planned and traced forms (an untraced OPEN carries no trace bytes, a
+// planless one no plan pair), a small DEPLOY with its label table and
+// one fragment, and a coalesced MSGB followed by an ACKN.
+func TestWireGolden(t *testing.T) {
+	got := goldenInputs(t)
+	for name, want := range goldenFrames {
+		if h := hex.EncodeToString(got[name]); h != want {
+			t.Errorf("%s frame moved:\ngot  %s\nwant %s", name, h, want)
+		}
+	}
+	if len(got) != len(goldenFrames) {
+		t.Fatalf("%d golden inputs for %d golden frames", len(got), len(goldenFrames))
+	}
+}
 
 // A decoded OPEN outlives its frame (the host retains the spec for the
 // session), so Query and Config must be copies, not aliases of the
@@ -24,8 +106,8 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 		qid:  7,
 		kind: cluster.SessionQuery,
 		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1, 2, 3}, Config: []byte{9, 8}, Planner: "greedy", Plan: []byte{4, 5}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-	}, ProtocolVersion)
-	o, err := decodeOpen(body, ProtocolVersion)
+	})
+	o, err := decodeOpen(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,33 +122,6 @@ func TestDecodeOpenCopiesSpec(t *testing.T) {
 	}
 }
 
-// Pre-4 connections must get — and strict-decode — the plan-less OPEN
-// body: the plan fields are dropped, not smuggled past an old decoder.
-func TestEncodeOpenDropsPlanBelowV4(t *testing.T) {
-	o := openBody{
-		qid:  7,
-		kind: cluster.SessionQuery,
-		spec: cluster.SessionSpec{Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{3, 3}}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
-	}
-	for _, v := range []uint16{1, 2, 3} {
-		got, err := decodeOpen(encodeOpen(o, v), v)
-		if err != nil {
-			t.Fatalf("v%d: %v", v, err)
-		}
-		if got.spec.Planner != "" || got.spec.Plan != nil {
-			t.Fatalf("v%d carried plan fields: %+v", v, got.spec)
-		}
-		if got.spec.Algo != "a" || !bytes.Equal(got.spec.Query, []byte{1}) {
-			t.Fatalf("v%d mangled the base spec: %+v", v, got.spec)
-		}
-	}
-	// A v4 body handed to a strict pre-4 decoder must be rejected, not
-	// silently truncated — this is what forces the per-connection encode.
-	if _, err := decodeOpen(encodeOpen(o, 4), 3); err == nil {
-		t.Fatal("v3 decoder accepted a v4 body with trailing plan fields")
-	}
-}
-
 func TestDeployLabelTable(t *testing.T) {
 	d := deployBody{
 		total:  4,
@@ -75,30 +130,15 @@ func TestDeployLabelTable(t *testing.T) {
 		labels: []string{"", "person", "movie"},
 		frags:  []byte{0xAA, 0xBB},
 	}
-	got, err := decodeDeploy(encodeDeploy(d, 2), 2)
+	got, err := decodeDeploy(encodeDeploy(d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.labels, d.labels) {
-		t.Fatalf("v2 labels = %q, want %q", got.labels, d.labels)
+		t.Fatalf("labels = %q, want %q", got.labels, d.labels)
 	}
 	if !bytes.Equal(got.frags, d.frags) || got.total != d.total {
-		t.Fatalf("v2 round trip mangled the body: %+v", got)
-	}
-
-	// A v1 encoding has no label table and must decode to labels == nil,
-	// which is what disables the daemon-side dictionary validation.
-	d1 := d
-	d1.labels = nil
-	got1, err := decodeDeploy(encodeDeploy(d1, 1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.labels != nil {
-		t.Fatalf("v1 decode produced a label table: %q", got1.labels)
-	}
-	if !bytes.Equal(got1.frags, d.frags) {
-		t.Fatalf("v1 round trip mangled fragments: %x", got1.frags)
+		t.Fatalf("round trip mangled the body: %+v", got)
 	}
 }
 
@@ -118,14 +158,14 @@ func TestAckNRoundTrip(t *testing.T) {
 	}
 }
 
-// readChunkFrames writes entries through writeChunk at the given
-// version and parses the produced byte stream back into frames.
-func readChunkFrames(t *testing.T, entries []outEntry, version uint16) (types []byte, bodies [][]byte, metered int) {
+// readChunkFrames writes entries through writeChunk and parses the
+// produced byte stream back into frames.
+func readChunkFrames(t *testing.T, entries []outEntry) (types []byte, bodies [][]byte, metered int) {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := bufio.NewWriter(&buf)
 	meter := func(qid uint64, n int) { metered += n }
-	if err := writeChunk(bw, entries, version, meter); err != nil {
+	if err := writeChunk(bw, entries, meter); err != nil {
 		t.Fatal(err)
 	}
 	if metered != buf.Len() {
@@ -144,8 +184,8 @@ func readChunkFrames(t *testing.T, entries []outEntry, version uint16) (types []
 
 // The coalescer merges only consecutive same-key runs and never
 // reorders: message runs split at qid changes and at interleaved acks,
-// ack runs split at (qid, site) changes, and the v1 path emits one
-// frame per entry.
+// ack runs split at (qid, site) changes, and a run of one stays a plain
+// MSG or ACK.
 func TestWriteChunkCoalescing(t *testing.T) {
 	msg := func(qid uint64, to int, b byte) outEntry {
 		return outEntry{kind: entryMsg, qid: qid, from: -1, to: to, data: []byte{byte(wire.KindControl), b}}
@@ -162,10 +202,10 @@ func TestWriteChunkCoalescing(t *testing.T) {
 		{kind: entryFrame, qid: 0, frame: wire.AppendFrame(nil, frameBye, nil)},
 	}
 
-	types, bodies, _ := readChunkFrames(t, entries, 2)
+	types, bodies, _ := readChunkFrames(t, entries)
 	want := []byte{frameMsgB, frameMsg, frameAckN, frameAck, frameMsg, frameBye}
 	if !bytes.Equal(types, want) {
-		t.Fatalf("v2 frame sequence = %v, want %v", types, want)
+		t.Fatalf("frame sequence = %v, want %v", types, want)
 	}
 	qid, batch, err := decodeMsgB(bodies[0])
 	if err != nil {
@@ -186,13 +226,6 @@ func TestWriteChunkCoalescing(t *testing.T) {
 	if an.count != 2 || an.busyNs != 12 || an.rounds != 3 || an.site != 0 {
 		t.Fatalf("ACKN did not aggregate the run: %+v", an)
 	}
-
-	// Version 1: strictly one frame per entry, in order.
-	types1, _, _ := readChunkFrames(t, entries, 1)
-	want1 := []byte{frameMsg, frameMsg, frameMsg, frameMsg, frameAck, frameAck, frameAck, frameMsg, frameBye}
-	if !bytes.Equal(types1, want1) {
-		t.Fatalf("v1 frame sequence = %v, want %v", types1, want1)
-	}
 }
 
 // A run bigger than batchByteCap splits rather than producing one
@@ -205,7 +238,7 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 		{kind: entryMsg, qid: 1, to: 1, data: big},
 		{kind: entryMsg, qid: 1, to: 2, data: big},
 	}
-	types, _, _ := readChunkFrames(t, entries, 2)
+	types, _, _ := readChunkFrames(t, entries)
 	if len(types) < 2 {
 		t.Fatalf("an over-cap run coalesced into %d frame(s)", len(types))
 	}
@@ -216,37 +249,16 @@ func TestWriteChunkRespectsByteCap(t *testing.T) {
 	}
 }
 
-// Tracing off must leave the v5 OPEN body byte-identical to the v4 one
-// — for a planned and for a planless spec — so an untraced deployment's
-// wire traffic is indistinguishable from a pre-trace build's. This is
-// the regression test behind the BENCH_TRANSPORT trace-off arm.
-func TestEncodeOpenTraceOffByteIdenticalToV4(t *testing.T) {
-	specs := map[string]cluster.SessionSpec{
-		"planless": {Algo: "a", Query: []byte{1, 2}, Config: []byte{3}},                                           //lint:allow regconsistent — codec byte-identity probe, the spec never reaches a site
-		"planned":  {Algo: "a", Query: []byte{1, 2}, Config: []byte{3}, Planner: "greedy", Plan: []byte{4, 5, 6}}, //lint:allow regconsistent — codec byte-identity probe, the spec never reaches a site
-	}
-	for name, spec := range specs {
-		o := openBody{qid: 9, kind: cluster.SessionQuery, spec: spec}
-		v4 := encodeOpen(o, 4)
-		v5 := encodeOpen(o, 5)
-		if !bytes.Equal(v4, v5) {
-			t.Errorf("%s: untraced v5 OPEN differs from v4:\nv4 %x\nv5 %x", name, v4, v5)
-		}
-	}
-}
-
 // A traced planless OPEN emits the plan pair as two empty blobs ahead
 // of the trace ID (the decoder tells the two trailing-optional
-// extensions apart by remaining length), and round-trips at v5. The
-// same body must be rejected — not silently truncated — by a strict v4
-// decoder, which is what forces the per-connection encode.
+// extensions apart by remaining length), and round-trips.
 func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 	for name, spec := range map[string]cluster.SessionSpec{
 		"planless": {Algo: "a", Query: []byte{1}, Config: []byte{2}, TraceID: 0xBEEF},                                 //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 		"planned":  {Algo: "a", Query: []byte{1}, Config: []byte{2}, Planner: "greedy", Plan: []byte{7}, TraceID: 11}, //lint:allow regconsistent — codec round-trip probe, the spec never reaches a site
 	} {
 		o := openBody{qid: 3, kind: cluster.SessionQuery, spec: spec}
-		got, err := decodeOpen(encodeOpen(o, 5), 5)
+		got, err := decodeOpen(encodeOpen(o))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -255,18 +267,6 @@ func TestEncodeOpenTracedRoundTrip(t *testing.T) {
 		}
 		if got.spec.Planner != spec.Planner || !bytes.Equal(got.spec.Plan, spec.Plan) {
 			t.Fatalf("%s: plan fields mangled: %+v", name, got.spec)
-		}
-		if _, err := decodeOpen(encodeOpen(o, 5), 4); err == nil {
-			t.Fatalf("%s: v4 decoder accepted a traced v5 body", name)
-		}
-		// A pre-5 encode drops the trace ID entirely: the daemon can
-		// never learn a trace ID it would not know how to report.
-		got4, err := decodeOpen(encodeOpen(o, 4), 4)
-		if err != nil {
-			t.Fatalf("%s: v4 round trip: %v", name, err)
-		}
-		if got4.spec.TraceID != 0 {
-			t.Fatalf("%s: v4 body smuggled trace ID %#x", name, got4.spec.TraceID)
 		}
 	}
 }
@@ -291,5 +291,38 @@ func TestTraceCodecRoundTrip(t *testing.T) {
 	}
 	if _, _, err := decodeTrace([]byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated TRACE body decoded")
+	}
+}
+
+// The daemon refuses a DEPLOY whose fragments name a site outside the
+// deployment — as a hosted slot, a virtual node's owner or an in-node's
+// watcher — or a label outside the shipped dictionary, instead of
+// indexing out of range in a site actor later.
+func TestDecodeFragSetValidatesIDs(t *testing.T) {
+	mk := func(id, owner, watcher int, label graph.Label) *partition.Fragment {
+		return &partition.Fragment{
+			ID: id, Local: []graph.NodeID{0}, Virtual: []graph.NodeID{1}, InNodes: []graph.NodeID{0},
+			Labels:     map[graph.NodeID]graph.Label{0: label, 1: 1},
+			Owner:      map[graph.NodeID]int{1: owner},
+			InWatchers: map[graph.NodeID][]int{0: {watcher}},
+			Succ:       map[graph.NodeID][]graph.NodeID{0: {1}},
+		}
+	}
+	body := func(hosted int, f *partition.Fragment) deployBody {
+		return deployBody{total: 2, hosted: []int{hosted}, labels: []string{"", "a"}, frags: partition.AppendFragment(nil, f)}
+	}
+	if _, why := decodeFragSet(body(0, mk(0, 1, 1, 1))); why != "" {
+		t.Fatalf("well-formed shipment refused: %s", why)
+	}
+	for name, dep := range map[string]deployBody{
+		"hosted":   body(2, mk(2, 1, 1, 1)),
+		"owner":    body(0, mk(0, 2, 1, 1)),
+		"watcher":  body(0, mk(0, 1, 7, 1)),
+		"negative": body(0, mk(0, 1, -1, 1)),
+		"label":    body(0, mk(0, 1, 1, 2)),
+	} {
+		if _, why := decodeFragSet(dep); why == "" {
+			t.Errorf("%s: out-of-range shipment accepted", name)
+		}
 	}
 }

@@ -30,11 +30,6 @@ type Server struct {
 	Logf func(format string, args ...any)
 	// WriteTimeout bounds each outbound frame write (default 30s).
 	WriteTimeout time.Duration
-	// MaxVersion caps the protocol version this daemon will negotiate;
-	// 0 means the newest this build speaks (ProtocolVersion). Tests pin
-	// it to 1 to emulate a pre-coalescing daemon and exercise the
-	// driver's per-message fallback.
-	MaxVersion uint16
 
 	// counters are the daemon's running totals, maintained always and
 	// exported when RegisterMetrics was called. Plain int64s driven by
@@ -130,15 +125,21 @@ func (k *daemonSink) Fatal(err error) {
 }
 
 // decodeFragSet decodes and validates a DEPLOY/REDEPLOY body's hosted
-// fragments; a non-empty second return is the refusal reason. The label
-// check catches a skewed shipment (v2+): every label id a fragment
-// carries must resolve in the driver's shipped dictionary, turning a
-// would-be silent mismatch into an explicit refusal.
+// fragments; a non-empty second return is the refusal reason. Every
+// site ID the body names — hosted slots, virtual-node owners, in-node
+// watchers — must lie in [0, total), and every label id a fragment
+// carries must resolve in the driver's shipped dictionary: a skewed or
+// hostile shipment is refused here instead of indexing out of range in
+// a site actor later.
 func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 	frags := make(map[int]*partition.Fragment, len(dep.hosted))
 	rest := dep.frags
 	var err error
+	siteOK := func(id int) bool { return id >= 0 && id < dep.total }
 	for _, id := range dep.hosted {
+		if !siteOK(id) {
+			return nil, fmt.Sprintf("hosted site %d outside the %d-site deployment", id, dep.total)
+		}
 		var f *partition.Fragment
 		f, rest, err = partition.DecodeFragment(rest)
 		if err != nil {
@@ -152,11 +153,21 @@ func decodeFragSet(dep deployBody) (map[int]*partition.Fragment, string) {
 	if len(rest) != 0 {
 		return nil, fmt.Sprintf("%d trailing bytes after fragments", len(rest))
 	}
-	if dep.labels != nil {
-		for id, f := range frags {
-			for _, l := range f.Labels {
-				if int(l) >= len(dep.labels) {
-					return nil, fmt.Sprintf("fragment %d carries label id %d outside the %d-entry dictionary", id, l, len(dep.labels))
+	for id, f := range frags {
+		for _, l := range f.Labels {
+			if int(l) >= len(dep.labels) {
+				return nil, fmt.Sprintf("fragment %d carries label id %d outside the %d-entry dictionary", id, l, len(dep.labels))
+			}
+		}
+		for v, o := range f.Owner {
+			if !siteOK(o) {
+				return nil, fmt.Sprintf("fragment %d names owner site %d for node %d outside the %d-site deployment", id, o, v, dep.total)
+			}
+		}
+		for v, ws := range f.InWatchers {
+			for _, w := range ws {
+				if !siteOK(w) {
+					return nil, fmt.Sprintf("fragment %d names watcher site %d for node %d outside the %d-site deployment", id, w, v, dep.total)
 				}
 			}
 		}
@@ -182,9 +193,9 @@ func (s *Server) handle(c net.Conn) {
 		s.logf("dgsd: refused driver %s: %s", c.RemoteAddr(), why)
 	}
 
-	// HELLO: magic + the driver's protocol ceiling, before anything
-	// else. The connection speaks min(driver max, daemon max); only a
-	// driver below the floor is refused.
+	// HELLO: magic + the driver's protocol version, before anything
+	// else. Driver and daemon ship from one tree, so anything but an
+	// exact match is refused — before DEPLOY is read.
 	c.SetReadDeadline(time.Now().Add(writeTimeout))
 	typ, body, err := wire.ReadFrame(br)
 	if err != nil || typ != frameHello {
@@ -195,23 +206,14 @@ func (s *Server) handle(c net.Conn) {
 		refuse("bad HELLO magic — is this a dgs driver?")
 		return
 	}
-	maxVersion := s.MaxVersion
-	if maxVersion == 0 || maxVersion > ProtocolVersion {
-		maxVersion = ProtocolVersion
-	}
 	v, _ := wire.NewByteReader(body[len(helloMagic):]).U16()
-	if v < MinProtocolVersion {
-		refuse(fmt.Sprintf("protocol version %d not supported (daemon speaks %d-%d)", v, MinProtocolVersion, maxVersion))
+	if v != ProtocolVersion {
+		refuse(fmt.Sprintf("protocol version mismatch: driver speaks %d, daemon speaks %d", v, ProtocolVersion))
 		return
 	}
-	version := v
-	if version > maxVersion {
-		version = maxVersion
-	}
-	// Confirm the chosen version immediately: the driver withholds the
-	// (large) DEPLOY until it has seen HELLO-OK, so a refusal never
-	// costs a fragment shipment.
-	if _, err := writeFrame(c, writeTimeout, frameHelloOK, appendU16(nil, version)); err != nil {
+	// Confirm immediately: the driver withholds the (large) DEPLOY until
+	// it has seen HELLO-OK, so a refusal never costs a fragment shipment.
+	if _, err := writeFrame(c, writeTimeout, frameHelloOK, appendU16(nil, ProtocolVersion)); err != nil {
 		s.logf("dgsd: HELLO-OK to %s failed: %v", c.RemoteAddr(), err)
 		return
 	}
@@ -222,7 +224,7 @@ func (s *Server) handle(c net.Conn) {
 		refuse("expected DEPLOY after HELLO")
 		return
 	}
-	dep, err := decodeDeploy(body, version)
+	dep, err := decodeDeploy(body)
 	if err != nil {
 		refuse("bad DEPLOY: " + err.Error())
 		return
@@ -245,7 +247,7 @@ func (s *Server) handle(c net.Conn) {
 			}
 			c.SetWriteDeadline(time.Now().Add(writeTimeout))
 			meter := func(qid uint64, n int) { atomic.AddInt64(&s.counters.framesOut, 1) }
-			if err := writeChunk(bw, entries, version, meter); err != nil {
+			if err := writeChunk(bw, entries, meter); err != nil {
 				// Sever the connection: a driver waiting on our ACKs would
 				// otherwise never learn its frames stopped flowing (it has
 				// no reason to close first), and its sessions would hang.
@@ -265,8 +267,8 @@ func (s *Server) handle(c net.Conn) {
 	host := cluster.NewSiteHost(dep.total, dep.hosted, frags, dep.assign, cluster.Network{}, sink)
 
 	out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameDeployed, nil)})
-	s.logf("dgsd: v%d, hosting %d/%d sites, %d-node assign directory, %d-label dict",
-		version, len(dep.hosted), dep.total, len(dep.assign), len(dep.labels))
+	s.logf("dgsd: hosting %d/%d sites, %d-node assign directory, %d-label dict",
+		len(dep.hosted), dep.total, len(dep.assign), len(dep.labels))
 
 	// Serve frames until BYE or disconnect. No read deadline: a deployed
 	// daemon waits indefinitely for its driver's next query.
@@ -284,7 +286,7 @@ func (s *Server) handle(c net.Conn) {
 		}
 		switch typ {
 		case frameOpen:
-			o, err := decodeOpen(body, version)
+			o, err := decodeOpen(body)
 			if err != nil {
 				errOut(0, "bad OPEN: "+err.Error())
 				continue
@@ -305,10 +307,6 @@ func (s *Server) handle(c net.Conn) {
 			// so handing it straight to the host is safe.
 			host.Enqueue(m.qid, m.from, m.to, m.data)
 		case frameMsgB:
-			if version < 2 {
-				errOut(0, "MSGB on a v1 connection")
-				goto done
-			}
 			qid, batch, err := decodeMsgB(body)
 			if err != nil {
 				errOut(0, "bad MSGB: "+err.Error())
@@ -327,18 +325,12 @@ func (s *Server) handle(c net.Conn) {
 				// A traced session owes the driver its spans, chasing the
 				// close on the same connection. Even an empty snapshot is
 				// shipped: the driver counts one TRACE per connection.
-				// Pre-v5 drivers never set a trace ID, so traced is false
-				// there by construction and no unknown frame is sent.
-				if spans, traced := host.TakeTrace(qid); traced && version >= 5 {
+				if spans, traced := host.TakeTrace(qid); traced {
 					out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, frameTrace, encodeTrace(qid, spans))})
 					atomic.AddInt64(&s.counters.traces, 1)
 				}
 			}
 		case framePing:
-			if version < 3 {
-				errOut(0, "PING on a v"+fmt.Sprint(version)+" connection")
-				goto done
-			}
 			seq, err := decodePingPong(body)
 			if err != nil {
 				errOut(0, "bad PING: "+err.Error())
@@ -346,13 +338,13 @@ func (s *Server) handle(c net.Conn) {
 			}
 			out.put(outEntry{kind: entryFrame, frame: wire.AppendFrame(nil, framePong, encodePingPong(seq))})
 		case frameRedeploy:
-			if version < 3 {
-				errOut(0, "REDEPLOY on a v"+fmt.Sprint(version)+" connection")
-				goto done
-			}
-			red, err := decodeDeploy(body, version)
+			red, err := decodeDeploy(body)
 			if err != nil {
 				errOut(0, "bad REDEPLOY: "+err.Error())
+				goto done
+			}
+			if red.total != dep.total {
+				errOut(0, fmt.Sprintf("bad REDEPLOY: %d-site body for a %d-site deployment", red.total, dep.total))
 				goto done
 			}
 			more, why := decodeFragSet(red)

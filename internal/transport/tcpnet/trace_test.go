@@ -4,11 +4,13 @@ package tcpnet_test
 // backend must share — a complete span tree whose totals reproduce the
 // session's Stats, an empty-but-present trace for an idle session (the
 // daemons owe one TRACE per traced session even when no message
-// flowed), graceful degradation to a partial trace below protocol v5,
-// and nil for untraced sessions.
+// flowed), a partial trace — not a hang — when a daemon dies owing its
+// spans, and nil for untraced sessions.
 
 import (
 	"context"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -28,11 +30,9 @@ func traceCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-// forEachV5Backend runs body on the backends that negotiate the full
-// current protocol — the ones where a trace must come back complete.
-// The version-pinned fallback rows are covered by
-// TestTraceV4FallbackPartial instead.
-func forEachV5Backend(t *testing.T, n int, body func(t *testing.T, c *cluster.Cluster)) {
+// forEachTraceBackend runs body on every backend with healthy daemons —
+// the ones where a trace must come back complete.
+func forEachTraceBackend(t *testing.T, n int, body func(t *testing.T, c *cluster.Cluster)) {
 	registerTestAlgos()
 	for _, be := range []backend{
 		{"inproc", func(t *testing.T, n int) *cluster.Cluster {
@@ -55,7 +55,7 @@ func forEachV5Backend(t *testing.T, n int, body func(t *testing.T, c *cluster.Cl
 // session's own accounting (each message counted once at its receiver).
 func TestMatrixTraceRoundTrip(t *testing.T) {
 	const n = 4
-	forEachV5Backend(t, n, func(t *testing.T, c *cluster.Cluster) {
+	forEachTraceBackend(t, n, func(t *testing.T, c *cluster.Cluster) {
 		var replies int
 		coord := cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) { replies++ })
 		s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply, TraceID: 77}, coord)
@@ -73,7 +73,7 @@ func TestMatrixTraceRoundTrip(t *testing.T) {
 			t.Fatalf("traced session returned trace %+v", tr)
 		}
 		if !tr.Complete {
-			t.Fatalf("trace incomplete on an all-v%d deployment", tcpnet.ProtocolVersion)
+			t.Fatal("trace incomplete on a healthy deployment")
 		}
 		seen := map[int]bool{}
 		for _, site := range tr.Sites {
@@ -104,7 +104,7 @@ func TestMatrixTraceRoundTrip(t *testing.T) {
 // driver's wait must find them. This is the regression test for the
 // driver dropping its trace wait before the frames arrive.
 func TestMatrixTraceIdleSessionResolves(t *testing.T) {
-	forEachV5Backend(t, 3, func(t *testing.T, c *cluster.Cluster) {
+	forEachTraceBackend(t, 3, func(t *testing.T, c *cluster.Cluster) {
 		s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoNop, TraceID: 5}, nil)
 		s.Close()
 		tr, err := s.Trace(traceCtx(t))
@@ -136,48 +136,83 @@ func TestMatrixUntracedTraceNil(t *testing.T) {
 	})
 }
 
-// Below protocol v5 the daemons never learn the trace ID: the session
-// still runs (identical traffic), and the driver degrades to a partial
-// trace carrying only its own coordinator spans.
-func TestTraceV4FallbackPartial(t *testing.T) {
+// severingListener records the daemon side of every accepted connection
+// so a test can kill the daemon's link mid-session.
+type severingListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (l *severingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.mu.Lock()
+		l.conns = append(l.conns, c)
+		l.mu.Unlock()
+	}
+	return c, err
+}
+
+func (l *severingListener) sever() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+}
+
+// A daemon that dies before shipping its TRACE frame must not hang the
+// trace collector: Trace resolves well inside its context, reports the
+// trace partial, and still carries the coordinator's own spans.
+func TestTraceDaemonDiesBeforeTrace(t *testing.T) {
 	registerTestAlgos()
-	for name, mk := range map[string]func(t *testing.T) *tcpnet.Net{
-		"v4driver": func(t *testing.T) *tcpnet.Net {
-			return dialNet(t, 2, 3, tcpnet.Server{}, tcpnet.Options{MaxProtocol: 4})
-		},
-		"v4daemon": func(t *testing.T) *tcpnet.Net {
-			return dialNet(t, 2, 3, tcpnet.Server{MaxVersion: 4}, tcpnet.Options{})
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			c := cluster.NewWithTransport(mk(t))
-			defer c.Shutdown()
-			var replies int
-			coord := cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) { replies++ })
-			s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply, TraceID: 9}, coord)
-			s.Broadcast(&wire.Control{Op: 1})
-			if err := s.WaitQuiesce(bg); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			if replies != 3 {
-				t.Fatalf("v4 traced session lost traffic: %d replies", replies)
-			}
-			tr, err := s.Trace(traceCtx(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr == nil {
-				t.Fatal("traced session returned no trace")
-			}
-			if tr.Complete {
-				t.Fatal("trace claims completeness on a v4 deployment")
-			}
-			for _, site := range tr.Sites {
-				if site.Site != obs.CoordinatorSite {
-					t.Fatalf("v4 deployment produced worker spans for site %d", site.Site)
-				}
-			}
-		})
+	addrs := make([]string, 2)
+	var doomed *severingListener
+	for i := range addrs {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl := &severingListener{Listener: lis}
+		if i == 0 {
+			doomed = sl
+		}
+		srv := &tcpnet.Server{}
+		go srv.Serve(sl)
+		t.Cleanup(func() { lis.Close() })
+		addrs[i] = lis.Addr().String()
+	}
+	tr, err := tcpnet.Dial(bg, addrs, trivialFragmentation(t, 3), tcpnet.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cluster.NewWithTransport(tr)
+	defer c.Shutdown()
+
+	s := open(t, c, cluster.SessionQuery, cluster.SessionSpec{Algo: algoReply, TraceID: 9}, nil)
+	s.Broadcast(&wire.Control{Op: 1})
+	if err := s.WaitQuiesce(bg); err != nil {
+		t.Fatal(err)
+	}
+	doomed.sever() // the daemon dies owing the session's spans
+	s.Close()
+
+	ctx, cancel := context.WithTimeout(bg, 20*time.Second)
+	defer cancel()
+	start := time.Now()
+	qt, err := s.Trace(ctx)
+	if err != nil {
+		t.Fatalf("Trace after a daemon loss = %v after %v, want a partial trace", err, time.Since(start))
+	}
+	if qt == nil || qt.Complete {
+		t.Fatalf("trace after a daemon loss = %+v, want a partial trace", qt)
+	}
+	var coord bool
+	for _, site := range qt.Sites {
+		coord = coord || site.Site == obs.CoordinatorSite
+	}
+	if !coord {
+		t.Fatalf("partial trace lost the coordinator's spans: %+v", qt.Sites)
 	}
 }
