@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving bench-transport failover-smoke bench-failover bench-planner clean help
+.PHONY: tier1 vet dgsvet analyze analyze-fix build test race bench fuzz examples docs smoke-tcp partition-smoke bench-partition gw-smoke obs-smoke bench-serving bench-transport failover-smoke bench-failover bench-planner loc clean help
 
 # tier1 is the gate every change must pass: static checks (go vet plus
 # the project-specific dgsvet analyzers), full build, and the test suite
@@ -133,6 +133,13 @@ examples:
 	$(GO) run ./examples/citation
 	$(GO) run ./examples/social
 
+# loc prints the Go line delta (added/removed/net, non-test and test
+# code separately, perfbench/ excluded) between BASE and the working
+# tree. Informational only; it gates nothing.
+BASE ?= HEAD~1
+loc:
+	./scripts/loc.sh $(BASE)
+
 clean:
 	$(GO) clean ./...
 
@@ -157,3 +164,4 @@ help:
 	@echo "  bench-planner    regenerate BENCH_PLANNER.json (plan on/off + watch sharing)"
 	@echo "  bench-transport  regenerate BENCH_TRANSPORT.json (in-process vs TCP, traced)"
 	@echo "  examples         run every example program"
+	@echo "  loc              Go line delta vs BASE=<ref> (non-test/test, perfbench excluded)"

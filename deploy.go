@@ -69,7 +69,7 @@ type queryConfig struct {
 
 // dgpmConfig translates the query configuration into the dGPM engine
 // config. An explicitly set θ is honored even when it is 0 (always
-// push) — the sentinel footgun of the legacy Options struct.
+// push).
 func (qc queryConfig) dgpmConfig() dgpm.Config {
 	cfg := dgpm.DefaultConfig()
 	if qc.thetaSet {
@@ -91,8 +91,8 @@ func WithAlgorithm(a Algorithm) QueryOption {
 }
 
 // WithPushTheta sets the push benefit threshold θ of §4.2 (default 0.2).
-// Unlike the legacy Options.PushTheta, an explicit 0 is honored: θ=0
-// makes every beneficial-or-not push fire. Only meaningful for AlgoDGPM.
+// An explicit 0 is honored: θ=0 makes every beneficial-or-not push
+// fire. Only meaningful for AlgoDGPM.
 func WithPushTheta(theta float64) QueryOption {
 	return func(qc *queryConfig) { qc.theta = theta; qc.thetaSet = true }
 }
@@ -469,19 +469,19 @@ func (d *Deployment) Query(ctx context.Context, q *Pattern, opts ...QueryOption)
 	var err error
 	switch cfg.algo {
 	case AlgoDGPM:
-		m, st, qt, err = dgpm.EvalPlannedTraced(ctx, d.c, q.p, d.part.fr, cfg.dgpmConfig(), pl, traceID)
+		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, cfg.dgpmConfig(), pl, traceID)
 	case AlgoDGPMNoOpt:
-		m, st, qt, err = dgpm.EvalPlannedTraced(ctx, d.c, q.p, d.part.fr, dgpm.NOptConfig(), pl, traceID)
+		m, st, qt, err = dgpm.Eval(ctx, d.c, q.p, d.part.fr, dgpm.NOptConfig(), pl, traceID)
 	case AlgoDGPMd:
-		m, st, qt, err = dagsim.EvalTraced(ctx, d.c, q.p, d.part.fr, cfg.graphIsDAG, traceID)
+		m, st, qt, err = dagsim.Eval(ctx, d.c, q.p, d.part.fr, cfg.graphIsDAG, traceID)
 	case AlgoDGPMt:
-		m, st, qt, err = treesim.EvalTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = treesim.Eval(ctx, d.c, q.p, d.part.fr, traceID)
 	case AlgoMatch:
-		m, st, qt, err = baseline.EvalMatchTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = baseline.EvalMatch(ctx, d.c, q.p, d.part.fr, traceID)
 	case AlgoDisHHK:
-		m, st, qt, err = baseline.EvalDisHHKTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = baseline.EvalDisHHK(ctx, d.c, q.p, d.part.fr, traceID)
 	case AlgoDMes:
-		m, st, qt, err = baseline.EvalDMesTraced(ctx, d.c, q.p, d.part.fr, traceID)
+		m, st, qt, err = baseline.EvalDMes(ctx, d.c, q.p, d.part.fr, traceID)
 	default:
 		return nil, errorf("unknown algorithm %d", cfg.algo)
 	}

@@ -2,6 +2,7 @@ package dgs
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -31,11 +32,23 @@ func testWorld(t testing.TB, algoFriendly bool) (*Dict, *Graph, *Pattern, *Parti
 	return dict, g, q, part
 }
 
+// queryOnce deploys part in-process, answers one query and tears the
+// deployment down.
+func queryOnce(t testing.TB, part *Partition, q *Pattern, opts ...QueryOption) (*Result, error) {
+	t.Helper()
+	dep, err := Deploy(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	return dep.Query(context.Background(), q, opts...)
+}
+
 func TestAllAlgorithmsAgreeOnGeneral(t *testing.T) {
 	_, g, q, part := testWorld(t, true)
 	want := Simulate(q, g)
 	for _, algo := range []Algorithm{AlgoDGPM, AlgoDGPMNoOpt, AlgoMatch, AlgoDisHHK, AlgoDMes} {
-		res, err := Run(algo, q, part)
+		res, err := queryOnce(t, part, q, WithAlgorithm(algo))
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -60,7 +73,7 @@ func TestDGPMdOnCitation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Simulate(q, g)
-	res, err := Run(AlgoDGPMd, q, part, Options{GraphIsDAG: true})
+	res, err := queryOnce(t, part, q, WithAlgorithm(AlgoDGPMd), WithGraphIsDAG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +94,7 @@ func TestDGPMtOnTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Simulate(q, g)
-	res, err := Run(AlgoDGPMt, q, part)
+	res, err := queryOnce(t, part, q, WithAlgorithm(AlgoDGPMt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +119,16 @@ func TestRunBooleanChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okC, _, err := RunBoolean(AlgoDGPM, q, pc)
-	if err != nil || !okC {
+	resC, err := queryOnce(t, pc, q)
+	if err != nil || !resC.Match.Ok() {
 		t.Fatalf("closed chain must match (err=%v)", err)
 	}
-	okB, stB, err := RunBoolean(AlgoDGPM, q, pb)
-	if err != nil || okB {
+	resB, err := queryOnce(t, pb, q)
+	if err != nil || resB.Match.Ok() {
 		t.Fatalf("broken chain must not match (err=%v)", err)
 	}
-	if stB.DataMsgs < 11 {
-		t.Fatalf("falsification must travel the chain: %d msgs", stB.DataMsgs)
+	if resB.Stats.DataMsgs < 11 {
+		t.Fatalf("falsification must travel the chain: %d msgs", resB.Stats.DataMsgs)
 	}
 }
 
@@ -245,7 +258,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 	_, _, q, part := testWorld(t, true)
-	if _, err := Run(Algorithm(99), q, part); err == nil {
+	if _, err := queryOnce(t, part, q, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -253,14 +266,14 @@ func TestRunRejectsUnknownAlgorithm(t *testing.T) {
 func TestOptionsAblation(t *testing.T) {
 	_, g, q, part := testWorld(t, true)
 	want := Simulate(q, g)
-	res, err := Run(AlgoDGPM, q, part, Options{DisablePush: true})
+	res, err := queryOnce(t, part, q, WithPushDisabled())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Match.Equal(want) {
 		t.Fatal("no-push ablation differs")
 	}
-	res2, err := Run(AlgoDGPM, q, part, Options{PushTheta: 0.01})
+	res2, err := queryOnce(t, part, q, WithPushTheta(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,9 @@ package dgs
 // "DAG G" precondition without assembling the graph.
 
 import (
+	"context"
+
+	"dgs/internal/cluster"
 	"dgs/internal/dagcheck"
 	"dgs/internal/graph"
 	"dgs/internal/simulation"
@@ -48,6 +51,11 @@ func (i *Incremental) Affected() int { return i.inc.Affected() }
 // plus in-node→virtual reachability pairs, assembled at the coordinator.
 // Data shipment is bounded by Σ|Fi.I|·|Fi.O|, independent of |G|.
 func IsDAGDistributed(part *Partition) (bool, Stats) {
-	ok, st := dagcheck.IsDAG(part.fr)
+	c := cluster.NewLocal(part.fr, cluster.Network{})
+	defer c.Shutdown()
+	ok, st, err := dagcheck.Eval(context.Background(), c, part.fr)
+	if err != nil {
+		panic(err) // background context, private cluster: unreachable
+	}
 	return ok, fromCluster(st)
 }

@@ -153,15 +153,10 @@ func init() {
 }
 
 // EvalMatch evaluates Q with the naive ship-everything algorithm (§3.1)
-// as one session on a live cluster.
-func EvalMatch(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalMatchTraced(ctx, c, q, fr, 0)
-	return m, st, err
-}
-
-// EvalMatchTraced is EvalMatch with distributed tracing (traceID 0
-// disables it; the trace return is then nil).
-func EvalMatchTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+// as one session on a live cluster. Wall includes the coordinator's
+// centralized evaluation. A nonzero traceID records per-round spans;
+// traceID 0 disables tracing (the trace return is then nil).
+func EvalMatch(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	coord := newMerger()
 	sess, err := c.OpenSession(cluster.SessionQuery, cluster.SessionSpec{Algo: AlgoMatch, TraceID: traceID}, coord)
 	if err != nil {
@@ -178,26 +173,11 @@ func EvalMatchTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern
 	if err != nil {
 		panic(fmt.Sprintf("baseline: Match assembly: %v", err))
 	}
-	m := simulation.HHK(q, g)
-	res := toGlobal(m, ids)
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	stats.Rounds = 1
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	res := toGlobal(simulation.HHK(q, g), ids)
+	sess.AddRounds(1)
+	stats, trace, err := sess.Finish(ctx, start)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
 	return res.Canonical(), stats, trace, nil
-}
-
-// RunMatch evaluates one query on a throwaway single-query cluster.
-func RunMatch(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	m, st, err := EvalMatch(context.Background(), c, q, fr)
-	if err != nil {
-		panic(err) // background context, private cluster: unreachable
-	}
-	return m, st
 }

@@ -1,16 +1,34 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/cluster"
 	"dgs/internal/dgpm"
 	"dgs/internal/graph"
+	"dgs/internal/obs"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
 	"dgs/internal/simulation"
 )
+
+// evalFunc is the signature the three baseline drivers share.
+type evalFunc func(context.Context, *cluster.Cluster, *pattern.Pattern, *partition.Fragmentation, uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error)
+
+// run evaluates one query with eval on a private in-process cluster.
+func run(t testing.TB, eval evalFunc, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats) {
+	t.Helper()
+	c := cluster.NewLocal(fr, cluster.Network{})
+	defer c.Shutdown()
+	m, st, _, err := eval(context.Background(), c, q, fr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, st
+}
 
 func randomCase(r *rand.Rand) (*pattern.Pattern, *graph.Graph, *partition.Fragmentation) {
 	d := graph.NewDict()
@@ -50,21 +68,11 @@ func TestQuickBaselinesEqualCentralized(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, g, fr := randomCase(r)
 		want := simulation.HHK(q, g)
-		for name, run := range map[string]func(*pattern.Pattern, *partition.Fragmentation) (*simulation.Match, interface{ TotalMsgs() int64 }){} {
-			_ = name
-			_ = run
-		}
-		if got, _ := RunMatch(q, fr); !want.Equal(got) {
-			t.Logf("seed %d: Match got %v want %v", seed, got, want)
-			return false
-		}
-		if got, _ := RunDisHHK(q, fr); !want.Equal(got) {
-			t.Logf("seed %d: disHHK got %v want %v", seed, got, want)
-			return false
-		}
-		if got, _ := RunDMes(q, fr); !want.Equal(got) {
-			t.Logf("seed %d: dMes got %v want %v", seed, got, want)
-			return false
+		for name, eval := range map[string]evalFunc{"Match": EvalMatch, "disHHK": EvalDisHHK, "dMes": EvalDMes} {
+			if got, _ := run(t, eval, q, fr); !want.Equal(got) {
+				t.Logf("seed %d: %s got %v want %v", seed, name, got, want)
+				return false
+			}
 		}
 		return true
 	}
@@ -111,10 +119,12 @@ edge c a
 	}
 	want := simulation.HHK(q, g)
 
-	gotG, stG := dgpm.Run(q, fr, dgpm.Config{Incremental: true})
-	gotM, stM := RunMatch(q, fr)
-	gotH, stH := RunDisHHK(q, fr)
-	gotV, stV := RunDMes(q, fr)
+	gotG, stG := run(t, func(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+		return dgpm.Eval(ctx, c, q, fr, dgpm.Config{Incremental: true}, nil, traceID)
+	}, q, fr)
+	gotM, stM := run(t, EvalMatch, q, fr)
+	gotH, stH := run(t, EvalDisHHK, q, fr)
+	gotV, stV := run(t, EvalDMes, q, fr)
 	for name, got := range map[string]*simulation.Match{"dGPM": gotG, "Match": gotM, "disHHK": gotH, "dMes": gotV} {
 		if !want.Equal(got) {
 			t.Fatalf("%s: wrong result", name)
@@ -156,8 +166,8 @@ func TestDisHHKPrunesNonCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stH := RunDisHHK(q, fr)
-	_, stM := RunMatch(q, fr)
+	_, stH := run(t, EvalDisHHK, q, fr)
+	_, stM := run(t, EvalMatch, q, fr)
 	if stH.DataBytes >= stM.DataBytes {
 		t.Fatalf("disHHK (%dB) should ship less than Match (%dB) when most nodes are non-candidates",
 			stH.DataBytes, stM.DataBytes)
@@ -190,7 +200,7 @@ func TestDMesSuperstepsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, st := RunDMes(q, fr)
+		got, st := run(t, EvalDMes, q, fr)
 		if got.NumPairs() != 0 {
 			t.Fatalf("n=%d: broken chain must not match", n)
 		}
@@ -210,7 +220,7 @@ func TestMatchSingleFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := simulation.HHK(q, g)
-	got, _ := RunMatch(q, fr)
+	got, _ := run(t, EvalMatch, q, fr)
 	if !want.Equal(got) {
 		t.Fatal("single-fragment Match wrong")
 	}

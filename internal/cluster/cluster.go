@@ -756,8 +756,8 @@ func (s *Session) AddRounds(n int64) {
 // host recorded plus the driver's own coordinator spans. Call after
 // Close — remote hosts ship their spans when they process the close.
 // Returns nil for untraced sessions. Complete is false when a host's
-// spans could not be collected (pre-trace protocol connection, or a
-// connection lost before its spans arrived).
+// spans could not be collected (a transport without span collection,
+// or a connection lost before its spans arrived).
 func (s *Session) Trace(ctx context.Context) (*obs.QueryTrace, error) {
 	if s.traceRec == nil {
 		return nil, nil
@@ -776,6 +776,23 @@ func (s *Session) Trace(ctx context.Context) (*obs.QueryTrace, error) {
 	qt.Sites = append(qt.Sites, s.traceRec.Snapshot()...)
 	sort.Slice(qt.Sites, func(i, j int) bool { return qt.Sites[i].Site < qt.Sites[j].Site })
 	return qt, nil
+}
+
+// Finish ends a query session once its protocol is done: it snapshots
+// the stats with Wall measured from start to now, closes the session,
+// and collects its trace (nil when untraced). Every query driver ends
+// with it, at the point its Wall should stop.
+func (s *Session) Finish(ctx context.Context, start time.Time) (Stats, *obs.QueryTrace, error) {
+	st := s.Stats()
+	st.Wall = time.Since(start)
+	// Span collection happens after the close: remote hosts ship their
+	// spans when they process the CLOSE frame.
+	s.Close()
+	qt, err := s.Trace(ctx)
+	if err != nil {
+		return Stats{}, nil, err
+	}
+	return st, qt, nil
 }
 
 // Stats snapshots the session's accounting, including the measured
@@ -836,9 +853,9 @@ func (s *Session) Close() {
 	delete(s.c.sessions, s.qid)
 	s.c.mu.Unlock()
 	// Only the call that actually unregistered the session closes it on
-	// the transport: a traced Eval closes explicitly (span shipment rides
-	// the CLOSE) and again via defer, and the duplicate must not cost a
-	// second round of CLOSE frames.
+	// the transport: Finish closes explicitly (span shipment rides the
+	// CLOSE) and a driver's defer closes again, and the duplicate must
+	// not cost a second round of CLOSE frames.
 	if live {
 		s.c.tr.Close(s.qid)
 	}

@@ -454,7 +454,7 @@ func (t *InProc) WireBytes(uint64) int64 { return 0 }
 
 // NewLocal creates a cluster over the in-process backend with the
 // fragments of fr resident at its sites — the fragment-once/serve-many
-// substrate for single-process deployments and the Run wrappers.
+// substrate for single-process deployments.
 func NewLocal(fr *partition.Fragmentation, net Network) *Cluster {
 	return NewWithTransport(NewInProc(fr.NumFragments(), fr, net))
 }

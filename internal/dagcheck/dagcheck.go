@@ -183,24 +183,15 @@ func Eval(ctx context.Context, c *cluster.Cluster, fr *partition.Fragmentation) 
 	if err := sess.WaitQuiesce(ctx); err != nil {
 		return false, cluster.Stats{}, err
 	}
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	stats.Rounds = 1
+	sess.AddRounds(1)
+	stats, _, err := sess.Finish(ctx, start)
+	if err != nil {
+		return false, cluster.Stats{}, err
+	}
 	if coord.cyclic {
 		return false, stats, nil
 	}
 	return boundaryAcyclic(coord.pairs), stats, nil
-}
-
-// IsDAG runs the protocol on a throwaway single-query cluster.
-func IsDAG(fr *partition.Fragmentation) (bool, cluster.Stats) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	ok, st, err := Eval(context.Background(), c, fr)
-	if err != nil {
-		panic(err) // background context, private cluster: unreachable
-	}
-	return ok, st
 }
 
 // boundaryAcyclic checks the condensed boundary graph with Kahn's

@@ -1,13 +1,27 @@
 package dagcheck
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/cluster"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 )
+
+// isDAG runs the protocol on a private in-process cluster.
+func isDAG(t testing.TB, fr *partition.Fragmentation) (bool, cluster.Stats) {
+	t.Helper()
+	c := cluster.NewLocal(fr, cluster.Network{})
+	defer c.Shutdown()
+	ok, st, err := Eval(context.Background(), c, fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok, st
+}
 
 func fragmentify(t testing.TB, g *graph.Graph, nf int, seed int64) *partition.Fragmentation {
 	t.Helper()
@@ -29,7 +43,7 @@ func TestLocalCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _ := IsDAG(fr)
+	ok, _ := isDAG(t, fr)
 	if ok {
 		t.Fatal("local 2-cycle missed")
 	}
@@ -50,7 +64,7 @@ func TestCrossFragmentCycleDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, stats := IsDAG(fr)
+	ok, stats := isDAG(t, fr)
 	if ok {
 		t.Fatal("cross-fragment cycle missed")
 	}
@@ -72,7 +86,7 @@ func TestChainIsDAG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := IsDAG(fr); !ok {
+	if ok, _ := isDAG(t, fr); !ok {
 		t.Fatal("chain wrongly reported cyclic")
 	}
 }
@@ -121,7 +135,7 @@ func TestQuickAgreesWithCentralized(t *testing.T) {
 		g := b.MustBuild()
 		want := graph.IsDAG(g)
 		fr := fragmentify(t, g, 1+r.Intn(5), seed)
-		got, _ := IsDAG(fr)
+		got, _ := isDAG(t, fr)
 		if got != want {
 			t.Logf("seed %d: distributed=%v centralized=%v", seed, got, want)
 			return false
@@ -146,7 +160,7 @@ func TestShipmentBoundedByBoundary(t *testing.T) {
 	}
 	g := b.MustBuild()
 	fr := fragmentify(t, g, 4, 5)
-	_, stats := IsDAG(fr)
+	_, stats := isDAG(t, fr)
 	bound := int64(0)
 	for _, f := range fr.Frags {
 		bound += int64(len(f.InNodes) * len(f.Virtual))

@@ -222,18 +222,11 @@ func (s *dagSite) advance(ctx *cluster.Ctx) {
 // holds, the answer is ∅ with no distributed evaluation ("when Q is
 // cyclic, G does not match Q"). When Q is cyclic and gIsDAG is not
 // asserted, the partition-bounded distributed acyclicity protocol
-// (internal/dagcheck) decides G's case on the same cluster.
-func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalTraced(ctx, c, q, fr, gIsDAG, 0)
-	return m, st, err
-}
-
-// EvalTraced is Eval with distributed tracing: a nonzero traceID makes
-// every site record per-round spans, collected after the session
-// closes. The acyclicity precheck runs untraced — it is its own
-// sub-session with separate stats. traceID 0 disables tracing (nil
-// trace) with wire traffic byte-identical to Eval.
-func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+// (internal/dagcheck) decides G's case on the same cluster, as its own
+// untraced sub-session. A nonzero traceID makes every site record
+// per-round spans, collected after the session closes; traceID 0
+// disables tracing (nil trace).
+func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	_, qIsDAG := newRankInfo(q)
 	if !qIsDAG {
 		var checkStats cluster.Stats
@@ -252,7 +245,7 @@ func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr 
 		return simulation.NewMatch(q.NumNodes()), checkStats, nil, nil
 	}
 
-	coord := &collector{nq: q.NumNodes()}
+	coord := &dgpm.Collector{}
 	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), TraceID: traceID}
 	sess, err := c.OpenSession(cluster.SessionQuery, spec, coord)
 	if err != nil {
@@ -268,22 +261,11 @@ func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr 
 	if err := sess.WaitQuiesce(ctx); err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	match := coord.assemble()
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	stats, trace, err := sess.Finish(ctx, start)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	return match, stats, trace, nil
-}
-
-// Run evaluates one query on a throwaway single-query cluster.
-func Run(q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool) (*simulation.Match, cluster.Stats, error) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	return Eval(context.Background(), c, q, fr, gIsDAG)
+	return coord.Assemble(q.NumNodes()), stats, trace, nil
 }
 
 // Algo is the registered name of the dGPMd site. The spec carries only
@@ -302,24 +284,4 @@ func init() {
 		}
 		return newDagSite(q, frag, ri), nil
 	})
-}
-
-type collector struct {
-	nq    int
-	pairs []wire.VarRef
-}
-
-func (c *collector) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
-	if m, ok := p.(*wire.Matches); ok {
-		c.pairs = append(c.pairs, m.Pairs...)
-	}
-}
-
-func (c *collector) assemble() *simulation.Match {
-	m := simulation.NewMatch(c.nq)
-	for _, r := range c.pairs {
-		m.Sets[r.U] = append(m.Sets[r.U], graph.NodeID(r.V))
-	}
-	m.Sort()
-	return m.Canonical()
 }

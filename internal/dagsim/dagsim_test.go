@@ -1,16 +1,26 @@
 package dagsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/cluster"
 	"dgs/internal/dgpm"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
 	"dgs/internal/simulation"
 )
+
+// run evaluates one query on a private in-process cluster.
+func run(q *pattern.Pattern, fr *partition.Fragmentation, gIsDAG bool) (*simulation.Match, cluster.Stats, error) {
+	c := cluster.NewLocal(fr, cluster.Network{})
+	defer c.Shutdown()
+	m, st, _, err := Eval(context.Background(), c, q, fr, gIsDAG, 0)
+	return m, st, err
+}
 
 // fig5 reproduces Example 9/10: Q” (ranks FB=0, YB2=1, SP=2, YF=F=3,
 // YB1=4) and a G” that does not match it, split across fragments.
@@ -85,7 +95,7 @@ func TestFig5NoMatchAndBatchedShipping(t *testing.T) {
 	if want.Ok() {
 		t.Fatal("fixture error: G'' must not match Q''")
 	}
-	got, stats, err := Run(q, fr, true)
+	got, stats, err := run(q, fr, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +123,7 @@ func TestCyclicQOnDAGGIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Run(q, fr, true)
+	got, stats, err := run(q, fr, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +147,7 @@ func TestCyclicQCyclicGRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(q, fr, false); err == nil {
+	if _, _, err := run(q, fr, false); err == nil {
 		t.Fatal("cyclic Q and cyclic G must be rejected")
 	}
 }
@@ -190,7 +200,7 @@ func TestQuickDGPMdEqualsCentralized(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, g, fr := randomDAGCase(r)
 		want := simulation.HHK(q, g)
-		got, _, err := Run(q, fr, false)
+		got, _, err := run(q, fr, false)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -199,8 +209,10 @@ func TestQuickDGPMdEqualsCentralized(t *testing.T) {
 			t.Logf("seed %d: got %v want %v", seed, got, want)
 			return false
 		}
-		got2, _ := dgpm.Run(q, fr, dgpm.DefaultConfig())
-		return want.Equal(got2)
+		c := cluster.NewLocal(fr, cluster.Network{})
+		defer c.Shutdown()
+		got2, _, _, err := dgpm.Eval(context.Background(), c, q, fr, dgpm.DefaultConfig(), nil, 0)
+		return err == nil && want.Equal(got2)
 	}
 	n := 60
 	if testing.Short() {
@@ -237,7 +249,7 @@ func TestQuickMessagePlanBound(t *testing.T) {
 				}
 			}
 		}
-		_, stats, err := Run(q, fr, false)
+		_, stats, err := run(q, fr, false)
 		if err != nil {
 			return false
 		}
@@ -289,7 +301,7 @@ func TestSingleNodePattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Run(q, fr, false)
+	got, stats, err := run(q, fr, false)
 	if err != nil {
 		t.Fatal(err)
 	}

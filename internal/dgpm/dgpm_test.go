@@ -1,10 +1,12 @@
 package dgpm
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dgs/internal/cluster"
 	"dgs/internal/graph"
 	"dgs/internal/partition"
 	"dgs/internal/pattern"
@@ -13,6 +15,18 @@ import (
 )
 
 // --- fixtures ---
+
+// run evaluates one query on a private in-process cluster.
+func run(t testing.TB, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config) (*simulation.Match, cluster.Stats) {
+	t.Helper()
+	c := cluster.NewLocal(fr, cluster.Network{})
+	defer c.Shutdown()
+	m, st, _, err := Eval(context.Background(), c, q, fr, cfg, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, st
+}
 
 func fig1() (*pattern.Pattern, *graph.Graph, map[string]graph.NodeID, []int32) {
 	d := graph.NewDict()
@@ -173,7 +187,7 @@ func runVariants(t *testing.T, q *pattern.Pattern, g *graph.Graph, fr *partition
 		"push-only":   {Push: true, Theta: 0.2},
 		"eager-push":  {Incremental: true, Push: true, Theta: 0},
 	} {
-		got, _ := Run(q, fr, cfg)
+		got, _ := run(t, q, fr, cfg)
 		if !want.Equal(got) {
 			t.Fatalf("%s: got %v, want %v", name, got, want)
 		}
@@ -184,7 +198,7 @@ func TestDGPMFig1AllVariants(t *testing.T) {
 	q, g, ids, assign := fig1()
 	fr := mustPartition(t, g, assign)
 	runVariants(t, q, g, fr)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(t, q, fr, DefaultConfig())
 	if !got.Ok() {
 		t.Fatal("Fig-1 graph must match")
 	}
@@ -215,7 +229,7 @@ func TestDGPMFig1EdgeRemoved(t *testing.T) {
 	g := b.MustBuild()
 	fr := mustPartition(t, g, assign)
 	want := simulation.HHK(q, g)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(t, q, fr, DefaultConfig())
 	if !want.Equal(got) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -245,7 +259,7 @@ func TestDGPMFig2CycleAcrossAllSites(t *testing.T) {
 		g := b.MustBuild()
 		fr := mustPartition(t, g, assign)
 		want := simulation.HHK(q, g)
-		got, _ := Run(q, fr, DefaultConfig())
+		got, _ := run(t, q, fr, DefaultConfig())
 		if !want.Equal(got) {
 			t.Fatalf("n=%d: got %v, want %v", n, got, want)
 		}
@@ -276,7 +290,7 @@ func TestDGPMFig2BrokenChain(t *testing.T) {
 	}
 	g := b.MustBuild()
 	fr := mustPartition(t, g, assign)
-	got, stats := Run(q, fr, DefaultConfig())
+	got, stats := run(t, q, fr, DefaultConfig())
 	if got.NumPairs() != 0 {
 		t.Fatalf("broken chain must be empty, got %v", got)
 	}
@@ -329,7 +343,7 @@ func TestQuickDGPMEqualsCentralized(t *testing.T) {
 		q, g, fr := randomCase(r)
 		want := simulation.HHK(q, g)
 		for ci, cfg := range cfgs {
-			got, _ := Run(q, fr, cfg)
+			got, _ := run(t, q, fr, cfg)
 			if !want.Equal(got) {
 				t.Logf("seed %d cfg %d: got %v want %v", seed, ci, got, want)
 				return false
@@ -353,7 +367,7 @@ func TestQuickDataShipmentBound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q, _, fr := randomCase(r)
-		_, stats := Run(q, fr, Config{Incremental: true}) // pure dGPM protocol, no push
+		_, stats := run(t, q, fr, Config{Incremental: true}) // pure dGPM protocol, no push
 		boundEntries := int64(fr.Ef()*q.NumNodes() + 1)
 		// 6 bytes per entry + ≤5 bytes header per message; messages ≤ entries.
 		boundBytes := boundEntries*6 + stats.DataMsgs*5

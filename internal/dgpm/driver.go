@@ -7,8 +7,7 @@ package dgpm
 //
 // The handlers install onto a live, persistent cluster (Eval): the same
 // substrate serves many queries, each as its own session with isolated
-// stats. Run remains as a convenience that evaluates one query on a
-// throwaway cluster.
+// stats.
 
 import (
 	"context"
@@ -24,25 +23,26 @@ import (
 	"dgs/internal/wire"
 )
 
-// collector is the coordinator handler: it accumulates per-site matches.
-// Recv is serial per actor, so no locking is needed.
-type collector struct {
-	nq    int
-	pairs []wire.VarRef
+// Collector is the coordinator handler of dGPM and the variants that
+// reuse its report phase (dGPMd, dGPMt): it accumulates the per-site
+// matches. Recv is serial per actor, so no locking is needed.
+type Collector struct {
+	Pairs []wire.VarRef
 }
 
-func (c *collector) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
+// Recv implements cluster.Handler.
+func (c *Collector) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	if m, ok := p.(*wire.Matches); ok {
-		c.pairs = append(c.pairs, m.Pairs...)
+		c.Pairs = append(c.Pairs, m.Pairs...)
 	}
 }
 
-// assemble turns collected pairs into the canonical match relation: the
-// union of partial matches, or ∅ if some query node has no match (§4.1
-// phase 3).
-func (c *collector) assemble() *simulation.Match {
-	m := simulation.NewMatch(c.nq)
-	for _, r := range c.pairs {
+// Assemble turns the collected pairs into the canonical match relation
+// of a query with nq nodes: the union of partial matches, or ∅ if some
+// query node has no match (§4.1 phase 3).
+func (c *Collector) Assemble(nq int) *simulation.Match {
+	m := simulation.NewMatch(nq)
+	for _, r := range c.Pairs {
 		m.Sets[r.U] = append(m.Sets[r.U], graph.NodeID(r.V))
 	}
 	m.Sort()
@@ -58,26 +58,15 @@ func (c *collector) assemble() *simulation.Match {
 // cluster stays up; concurrent Eval calls on the same cluster are safe.
 // fr must be the fragmentation resident on c (it sizes and documents the
 // deployment; the sites evaluate against their own resident copies).
-func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config) (*simulation.Match, cluster.Stats, error) {
-	return EvalPlanned(ctx, c, q, fr, cfg, nil)
-}
-
-// EvalPlanned is Eval with an advisory evaluation plan for q (nil runs
-// unplanned). The plan ships in the session spec; sites that never see
-// it — pre-plan daemons — fall back to declaration order, with results
-// identical by the fixpoint's confluence.
-func EvalPlanned(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, pl *plan.Plan) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalPlannedTraced(ctx, c, q, fr, cfg, pl, 0)
-	return m, st, err
-}
-
-// EvalPlannedTraced is EvalPlanned with distributed tracing: a nonzero
-// traceID asks every site to record per-round spans, collected after
-// the session closes into a QueryTrace. traceID 0 disables tracing (the
-// trace return is then nil) and leaves the session's wire traffic
-// byte-identical to an untraced run.
-func EvalPlannedTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, pl *plan.Plan, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
-	coord := &collector{nq: q.NumNodes()}
+//
+// pl is an advisory evaluation plan for q (nil runs unplanned); it ships
+// in the session spec, and results are identical either way by the
+// fixpoint's confluence. A nonzero traceID asks every site to record
+// per-round spans, collected after the session closes into a
+// QueryTrace; traceID 0 disables tracing (the trace return is then
+// nil).
+func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, cfg Config, pl *plan.Plan, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+	coord := &Collector{}
 	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), Config: EncodeConfig(cfg), TraceID: traceID}
 	if pl != nil {
 		spec.Planner, spec.Plan = pl.Planner, pl.Encode()
@@ -94,41 +83,14 @@ func EvalPlannedTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Patte
 	if err := sess.WaitQuiesce(ctx); err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	// Phase 3: assemble Q(G) at the coordinator.
+	// Phase 3: the sites report their matches to the coordinator.
 	sess.Broadcast(&wire.Control{Op: OpReport})
 	if err := sess.WaitQuiesce(ctx); err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	stats := sess.Stats()
-	stats.Wall = time.Since(start)
-	match := coord.assemble()
-	// Span collection happens after the close: remote hosts ship their
-	// spans when they process the CLOSE frame.
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	stats, trace, err := sess.Finish(ctx, start)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	return match, stats, trace, nil
-}
-
-// Run evaluates one query on a throwaway single-query cluster with a
-// free network — the fragment-once/serve-many path is Eval.
-func Run(q *pattern.Pattern, fr *partition.Fragmentation, cfg Config) (*simulation.Match, cluster.Stats) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	m, st, err := Eval(context.Background(), c, q, fr, cfg)
-	if err != nil {
-		// Background context and a private cluster: unreachable.
-		panic(err)
-	}
-	return m, st
-}
-
-// RunBoolean evaluates Q as a Boolean pattern: true iff G matches Q.
-// Protocol phases are identical to the data-selecting case; only the
-// coordinator's final check differs (§4.1 "Boolean queries").
-func RunBoolean(q *pattern.Pattern, fr *partition.Fragmentation, cfg Config) (bool, cluster.Stats) {
-	m, stats := Run(q, fr, cfg)
-	return m.Ok(), stats
+	return coord.Assemble(q.NumNodes()), stats, trace, nil
 }

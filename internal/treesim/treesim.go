@@ -188,37 +188,28 @@ func (s *solver) falseFor(nodes []graph.NodeID, nq int) []wire.VarRef {
 	return out
 }
 
-// treeCoord collects round-1 equation systems and final matches.
+// treeCoord collects round-1 equation systems; the final matches go
+// through dGPM's collector.
 type treeCoord struct {
-	n       int
-	nq      int
+	dgpm.Collector
 	systems []*wire.EqSystem
-	pairs   []wire.VarRef
 }
 
 func (c *treeCoord) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
-	switch m := p.(type) {
-	case *wire.EqSystem:
+	if m, ok := p.(*wire.EqSystem); ok {
 		c.systems = append(c.systems, m)
-	case *wire.Matches:
-		c.pairs = append(c.pairs, m.Pairs...)
+		return
 	}
+	c.Collector.Recv(ctx, from, p)
 }
 
 // Eval evaluates Q over a tree fragmentation resident on cluster c with
 // dGPMt, as one session. Preconditions (Corollary 4): G is a tree (or
 // forest) and every fragment is connected, i.e. has at most one in-node.
-// Violations are reported as errors before any distributed work.
-func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	m, st, _, err := EvalTraced(ctx, c, q, fr, 0)
-	return m, st, err
-}
-
-// EvalTraced is Eval with distributed tracing: a nonzero traceID makes
-// every site record per-round spans, collected after the session
-// closes. traceID 0 disables tracing (nil trace) with wire traffic
-// byte-identical to Eval.
-func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
+// Violations are reported as errors before any distributed work. A
+// nonzero traceID makes every site record per-round spans, collected
+// after the session closes; traceID 0 disables tracing (nil trace).
+func Eval(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr *partition.Fragmentation, traceID uint64) (*simulation.Match, cluster.Stats, *obs.QueryTrace, error) {
 	if _, ok := graph.IsTree(fr.CurrentGraph()); !ok {
 		return nil, cluster.Stats{}, nil, fmt.Errorf("treesim: dGPMt requires a tree (or forest) data graph")
 	}
@@ -229,7 +220,7 @@ func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr 
 	}
 
 	n := fr.NumFragments()
-	coord := &treeCoord{n: n, nq: q.NumNodes()}
+	coord := &treeCoord{}
 	spec := cluster.SessionSpec{Algo: Algo, Query: pattern.EncodeBinary(q), TraceID: traceID}
 	sess, err := c.OpenSession(cluster.SessionQuery, spec, coord)
 	if err != nil {
@@ -269,29 +260,11 @@ func EvalTraced(ctx context.Context, c *cluster.Cluster, q *pattern.Pattern, fr 
 	if err := sess.WaitQuiesce(ctx); err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	wall := time.Since(start)
-
-	m := simulation.NewMatch(q.NumNodes())
-	for _, r := range coord.pairs {
-		m.Sets[r.U] = append(m.Sets[r.U], graph.NodeID(r.V))
-	}
-	m.Sort()
-	stats := sess.Stats()
-	stats.Wall = wall
-	match := m.Canonical()
-	sess.Close()
-	trace, err := sess.Trace(ctx)
+	stats, trace, err := sess.Finish(ctx, start)
 	if err != nil {
 		return nil, cluster.Stats{}, nil, err
 	}
-	return match, stats, trace, nil
-}
-
-// Run evaluates one query on a throwaway single-query cluster.
-func Run(q *pattern.Pattern, fr *partition.Fragmentation) (*simulation.Match, cluster.Stats, error) {
-	c := cluster.NewLocal(fr, cluster.Network{})
-	defer c.Shutdown()
-	return Eval(context.Background(), c, q, fr)
+	return coord.Assemble(q.NumNodes()), stats, trace, nil
 }
 
 // Algo is the registered name of the dGPMt site.

@@ -356,8 +356,9 @@ func TestRemoteDaemonLoss(t *testing.T) {
 	}
 }
 
-// TestRemoteTrace: a WithTrace query over a real TCP deployment comes
-// back with a complete span tree — coordinator plus every fragment's
+// TestRemoteTrace: a WithTrace query over a real TCP deployment — with
+// each of dGPM, dGPMNOpt, Match, disHHK and dMes — comes back with a
+// complete span tree — coordinator plus every fragment's
 // site — whose totals reproduce the query's own Stats aggregates, and
 // with the answer unchanged from an untraced run. (A daemon dying before
 // it ships its spans is TestTraceDaemonDiesBeforeTrace in tcpnet.)
@@ -378,39 +379,41 @@ func TestRemoteTrace(t *testing.T) {
 	}
 	defer dep.Close()
 
-	res, err := dep.Query(context.Background(), q, WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Match.Equal(oracle) {
-		t.Fatalf("traced remote query diverges from Simulate:\noracle %v\ngot    %v", oracle, res.Match)
-	}
-	tr := res.Trace
-	if tr == nil || !tr.Complete || tr.TraceID == 0 {
-		t.Fatalf("traced TCP query returned trace %+v", tr)
-	}
-	seen := map[int]bool{}
-	for _, site := range tr.Sites {
-		seen[site.Site] = true
-	}
-	if !seen[-1] {
-		t.Fatalf("trace lacks coordinator spans: %+v", tr.Sites)
-	}
-	for i := 0; i < 4; i++ {
-		if !seen[i] {
-			t.Fatalf("trace lacks spans for site %d: %+v", i, tr.Sites)
+	for _, algo := range []Algorithm{AlgoDGPM, AlgoDGPMNoOpt, AlgoMatch, AlgoDisHHK, AlgoDMes} {
+		res, err := dep.Query(context.Background(), q, WithAlgorithm(algo), WithTrace())
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
 		}
-	}
-	// The spans are exact, not sampled: summed over sites and rounds
-	// they must reproduce the session's accounting — every payload byte
-	// received once, every recorded round.
-	_, _, _, bytesIn, bytesOut, rounds := tr.Totals()
-	wantBytes := res.Stats.DataBytes + res.Stats.ControlBytes + res.Stats.ResultBytes
-	if bytesIn != wantBytes || bytesOut != wantBytes {
-		t.Fatalf("trace bytes in=%d out=%d, want %d (stats %+v)", bytesIn, bytesOut, wantBytes, res.Stats)
-	}
-	if rounds != res.Stats.Rounds {
-		t.Fatalf("trace rounds=%d, stats rounds=%d", rounds, res.Stats.Rounds)
+		if !res.Match.Equal(oracle) {
+			t.Fatalf("%s: traced remote query diverges from Simulate:\noracle %v\ngot    %v", algo, oracle, res.Match)
+		}
+		tr := res.Trace
+		if tr == nil || !tr.Complete || tr.TraceID == 0 {
+			t.Fatalf("%s: traced TCP query returned trace %+v", algo, tr)
+		}
+		seen := map[int]bool{}
+		for _, site := range tr.Sites {
+			seen[site.Site] = true
+		}
+		if !seen[-1] {
+			t.Fatalf("%s: trace lacks coordinator spans: %+v", algo, tr.Sites)
+		}
+		for i := 0; i < 4; i++ {
+			if !seen[i] {
+				t.Fatalf("%s: trace lacks spans for site %d: %+v", algo, i, tr.Sites)
+			}
+		}
+		// The spans are exact, not sampled: summed over sites and rounds
+		// they must reproduce the session's accounting — every payload
+		// byte received once, every recorded round.
+		_, _, _, bytesIn, bytesOut, rounds := tr.Totals()
+		wantBytes := res.Stats.DataBytes + res.Stats.ControlBytes + res.Stats.ResultBytes
+		if bytesIn != wantBytes || bytesOut != wantBytes {
+			t.Fatalf("%s: trace bytes in=%d out=%d, want %d (stats %+v)", algo, bytesIn, bytesOut, wantBytes, res.Stats)
+		}
+		if rounds != res.Stats.Rounds {
+			t.Fatalf("%s: trace rounds=%d, stats rounds=%d", algo, rounds, res.Stats.Rounds)
+		}
 	}
 
 	// An untraced query on the same deployment carries no trace.
