@@ -39,8 +39,12 @@ build:
 test:
 	$(GO) test ./...
 
+# race also reruns the packages with a goroutine-leak TestMain twice
+# in one process: their test algorithms must register idempotently and
+# the leak check must hold after repeated runs.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./internal/cluster ./internal/transport/faultnet
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -120,9 +124,10 @@ bench-transport:
 
 # bench-planner regenerates BENCH_PLANNER.json: planned vs
 # declaration-order evaluation over an |Eq| sweep at 64 sites (both
-# arms interleaved on resident deployments, DS asserted identical by
-# confluence), plus shared vs independent standing-query maintenance
-# at k overlapping Watches.
+# arms interleaved on resident deployments, the match relations
+# asserted equal by confluence), plus standing-query maintenance for k
+# overlapping Watches on one shared session vs k deployments with one
+# Watch each.
 bench-planner:
 	$(GO) run ./cmd/benchfig -group planner -json BENCH_PLANNER.json
 

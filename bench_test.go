@@ -443,9 +443,9 @@ func BenchmarkDeployAmortization(b *testing.B) {
 // BenchmarkPlannerArms — the planner's one-shot arms head to head: the
 // same cyclic queries on a planner-on and a planner-off deployment of
 // one 64-site web fragmentation, free network (by confluence the plan
-// cannot change what ships, so the delta is pure site compute — the
-// label-bucketed construction and selectivity-ordered seeding the
-// planner enables). Companion of benchfig -group planner.
+// cannot change the relation, and both arms build the same
+// label-bucketed engine, so the delta is the selectivity-ordered edge
+// lists and seeding alone). Companion of benchfig -group planner.
 func BenchmarkPlannerArms(b *testing.B) {
 	dict := NewDict()
 	g := GenWeb(dict, benchWebNV, benchWebNE, 1)

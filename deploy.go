@@ -172,11 +172,12 @@ func WithTransport(tr Transport) DeployOption {
 }
 
 // WithPlannerDisabled turns query planning off for the deployment:
-// queries evaluate in declaration order, absent-label patterns run the
-// full protocol instead of short-circuiting, and standing queries each
-// hold their own maintenance session instead of sharing one. Results
-// are identical either way — the dGPM fixpoint is confluent — so this
-// is the ablation/baseline arm, not a semantic switch.
+// queries and standing queries evaluate in declaration order, and
+// absent-label patterns run the full protocol instead of
+// short-circuiting. Nothing else changes — the same engine build and
+// the same shared standing-query session — and results are identical
+// either way, since the dGPM fixpoint is confluent; this is the
+// ordering ablation arm, not a semantic switch.
 func WithPlannerDisabled() DeployOption {
 	return func(dc *deployConfig) { dc.plannerOff = true }
 }
@@ -245,10 +246,10 @@ type Deployment struct {
 
 	watchMu  sync.Mutex
 	watchers map[*Maintained]struct{}
-	// shard is the deployment's shared standing-query shard (planner-on
-	// deployments only): every non-empty Watch pattern lives as one block
-	// of its single maintenance session. Guarded by shardMu; created
-	// lazily by the first Watch.
+	// shard is the deployment's shared standing-query shard: every Watch
+	// pattern not short-circuited as empty lives as one block of its
+	// single maintenance session. Guarded by shardMu; created lazily by
+	// the first Watch.
 	shardMu sync.Mutex
 	shard   *watchShard
 

@@ -6,23 +6,23 @@ package bench
 // 64 sites: each point evaluates the same random queries on a
 // planner-on and a WithPlannerDisabled deployment of the same
 // fragmentation. The counter fixpoint is confluent — both arms compute
-// the identical relation (asserted here) — so the panels isolate the
-// pure cost effect of ordering falsification work by selectivity.
+// the identical relation (asserted here) — and both build the same
+// label-bucketed engine over the fragment's cached index, so the panels
+// isolate the cost effect of evaluation order alone: per-node edge lists
+// in ascending selectivity and the seed scan rarest label first, versus
+// declaration order.
 //
-// Panel pair 1 runs with the zero link model, deliberately: by
-// confluence the plan cannot change what ships (plan-ds exhibits the
-// identical DS), so under the EC2 model both arms would sleep through
+// Panel pair 1 runs with the zero link model, deliberately: the plan
+// cannot change the relation, and DS moves only within async-ordering
+// jitter, so under the EC2 model both arms would sleep through nearly
 // the same message schedule and PT would measure only the link model.
-// What the plan does change is site compute — label-grouped counter
-// initialization touches matching edges instead of all |Eq| per
-// adjacency entry, and the seed scan exhausts the emptiest counters
-// first — and that effect grows with |Eq|, which is exactly the sweep.
 //
 // The plan-wpt/plan-wds pair measures standing-query sharing: k
 // equivalent Watches absorb one insertion batch (the full
-// re-evaluation path) either on the planner's single shared session or
-// as k independent planner-off sessions. The shared arm's maintenance
-// bill is one window regardless of k; the independent arm pays k times.
+// re-evaluation path) either on one deployment's shared session or on
+// k deployments holding one Watch each, whose bills are summed. The
+// shared arm's maintenance bill is one window regardless of k; the
+// independent arm pays k times.
 
 import (
 	"context"
@@ -137,47 +137,59 @@ func plannerExp(cfg Config) ([]*Figure, error) {
 	indep := Series{Name: "independent"}
 	for _, k := range []int{1, 2, 4, 8} {
 		x := fmt.Sprint(k)
-		for _, off := range []bool{false, true} {
-			// A fresh fragmentation per arm: Apply mutates it, and both
-			// arms must absorb the identical batch from the identical
-			// graph (same seed, same state → same stream).
-			wpart, err := dgs.PartitionTargetRatio(g2, 8, dgs.ByVf, 0.25, cfg.Seed+3)
-			if err != nil {
-				return nil, err
-			}
-			dopts := []dgs.DeployOption{dgs.WithNetwork(cfg.network())}
-			if off {
-				dopts = append(dopts, dgs.WithPlannerDisabled())
-			}
-			dep, err := dgs.Deploy(wpart, dopts...)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < k; i++ {
-				w, err := dep.Watch(ctx, wq)
-				if err != nil {
-					dep.Close()
-					return nil, err
-				}
-				defer w.Close()
-			}
-			ops := dgs.GenUpdateStream(wpart.CurrentGraph(), 5, 25, cfg.Seed+4)
-			st, err := dep.Apply(ctx, ops)
-			if err != nil {
-				dep.Close()
-				return nil, err
-			}
-			m := measurement{part: partMeta(wpart)}
-			m.add(st.Maintenance)
-			dep.Close()
-			if off {
-				indep.Points = append(indep.Points, m.point(x))
-			} else {
-				shared.Points = append(shared.Points, m.point(x))
-			}
+		st, meta, err := watchApply(ctx, cfg, g2, wq, k)
+		if err != nil {
+			return nil, err
 		}
+		m := measurement{part: meta}
+		m.add(st)
+		shared.Points = append(shared.Points, m.point(x))
+		var sum dgs.Stats
+		for i := 0; i < k; i++ {
+			st, _, err := watchApply(ctx, cfg, g2, wq, 1)
+			if err != nil {
+				return nil, err
+			}
+			sum.Wall += st.Wall
+			sum.DataBytes += st.DataBytes
+			sum.DataMsgs += st.DataMsgs
+			sum.Rounds += st.Rounds
+		}
+		m = measurement{part: meta}
+		m.add(sum)
+		indep.Points = append(indep.Points, m.point(x))
 	}
 	wpt := &Figure{ID: "plan-wpt", Title: "k equivalent standing queries, one insertion batch: shared session vs independent", XLabel: "watches", YLabel: "PT (ms)", Series: []Series{shared, indep}}
 	wds := &Figure{ID: "plan-wds", Title: "k equivalent standing queries, one insertion batch: shared session vs independent", XLabel: "watches", YLabel: "DS (KB)", Series: []Series{shared, indep}}
 	return []*Figure{pt, ds, wpt, wds}, nil
+}
+
+// watchApply deploys a fresh fragmentation of g, registers k Watches of
+// q, applies one insertion batch and returns the Apply's maintenance
+// bill with the fragmentation's metadata. Every call sees the identical
+// graph and batch (same seed, same state → same stream), so arms built
+// from it absorb the same work.
+func watchApply(ctx context.Context, cfg Config, g *dgs.Graph, q *dgs.Pattern, k int) (dgs.Stats, *PartMeta, error) {
+	part, err := dgs.PartitionTargetRatio(g, 8, dgs.ByVf, 0.25, cfg.Seed+3)
+	if err != nil {
+		return dgs.Stats{}, nil, err
+	}
+	dep, err := dgs.Deploy(part, dgs.WithNetwork(cfg.network()))
+	if err != nil {
+		return dgs.Stats{}, nil, err
+	}
+	defer dep.Close()
+	for i := 0; i < k; i++ {
+		w, err := dep.Watch(ctx, q)
+		if err != nil {
+			return dgs.Stats{}, nil, err
+		}
+		defer w.Close()
+	}
+	ops := dgs.GenUpdateStream(part.CurrentGraph(), 5, 25, cfg.Seed+4)
+	st, err := dep.Apply(ctx, ops)
+	if err != nil {
+		return dgs.Stats{}, nil, err
+	}
+	return st.Maintenance, partMeta(part), nil
 }

@@ -381,36 +381,6 @@ func (c *Cluster) OpenSession(kind SessionKind, spec SessionSpec, coord Handler)
 	return s, nil
 }
 
-// NewSession registers a query-kind direct-handler session; see
-// NewSessionKind.
-func (c *Cluster) NewSession(sites []Handler, coord Handler) *Session {
-	return c.NewSessionKind(SessionQuery, sites, coord)
-}
-
-// NewSessionKind registers one caller-built handler per site plus the
-// coordinator handler under a fresh query ID and returns the session.
-// Direct handler installation requires an in-process transport
-// (HandlerOpener); networked deployments open sessions from a
-// SessionSpec instead. On a shut-down cluster the returned session is
-// already closed: sends are dropped and WaitQuiesce reports ErrClosed.
-func (c *Cluster) NewSessionKind(kind SessionKind, sites []Handler, coord Handler) *Session {
-	if len(sites) != c.n {
-		panic(fmt.Sprintf("cluster: %d handlers for %d sites", len(sites), c.n))
-	}
-	ho, ok := c.tr.(HandlerOpener)
-	if !ok {
-		panic("cluster: direct handler sessions require an in-process transport; open a SessionSpec session instead")
-	}
-	s, live := c.newSession(kind, coord)
-	if !live {
-		return s
-	}
-	if err := ho.OpenHandlers(s.qid, sites); err != nil {
-		panic(err) // in-process installation cannot fail on a live host
-	}
-	return s
-}
-
 // coordLoop is the coordinator actor: it serially processes every
 // session's coordinator-addressed messages, mirroring a worker site's
 // event loop (one machine, one event loop).
@@ -594,10 +564,9 @@ func (c *Cluster) Shutdown() {
 
 // Session is one query's view of the cluster: its coordinator handler,
 // its stats, and its quiescence state. Sessions are created by
-// Cluster.OpenSession (spec-based, any backend) or Cluster.NewSession
-// (direct handlers, in-process only) and must be Closed when the query
-// completes or is abandoned; Close unregisters the handlers and discards
-// the session's remaining traffic.
+// Cluster.OpenSession and must be Closed when the query completes or is
+// abandoned; Close unregisters the handlers and discards the session's
+// remaining traffic.
 type Session struct {
 	c        *Cluster
 	qid      uint64

@@ -51,7 +51,7 @@ func TestRingQuiesces(t *testing.T) {
 	for i := range sites {
 		sites[i] = echoSite{}
 	}
-	s := c.NewSession(sites, nopHandler{})
+	s := openSites(t, c, SessionQuery, sites, nopHandler{})
 	defer s.Close()
 	s.Inject(0, &wire.Falsify{Pairs: []wire.VarRef{{U: 1, V: 10}}})
 	if err := s.WaitQuiesce(bg); err != nil {
@@ -83,7 +83,7 @@ func TestBroadcastReachesAllSites(t *testing.T) {
 			got.Add(1)
 		})
 	}
-	s := c.NewSession(sites, nopHandler{})
+	s := openSites(t, c, SessionQuery, sites, nopHandler{})
 	defer s.Close()
 	s.Broadcast(&wire.Control{Op: 1})
 	if err := s.WaitQuiesce(bg); err != nil {
@@ -121,7 +121,7 @@ func TestCoordinatorRoundTrip(t *testing.T) {
 		seen[int(m.Frag)] = true
 		mu.Unlock()
 	})
-	s := c.NewSession(sites, coord)
+	s := openSites(t, c, SessionQuery, sites, coord)
 	defer s.Close()
 	s.Broadcast(&wire.Control{Op: 2})
 	if err := s.WaitQuiesce(bg); err != nil {
@@ -153,7 +153,7 @@ func TestAllToAllBurstNoDeadlock(t *testing.T) {
 			}
 		})
 	}
-	s := c.NewSession(sites, nopHandler{})
+	s := openSites(t, c, SessionQuery, sites, nopHandler{})
 	defer s.Close()
 	done := make(chan struct{})
 	go func() {
@@ -192,7 +192,7 @@ func TestMultiPhase(t *testing.T) {
 			}
 		})
 	}
-	s := c.NewSession(sites, nopHandler{})
+	s := openSites(t, c, SessionQuery, sites, nopHandler{})
 	defer s.Close()
 	s.Broadcast(&wire.Control{Op: 1})
 	if err := s.WaitQuiesce(bg); err != nil {
@@ -213,7 +213,7 @@ func TestMultiPhase(t *testing.T) {
 func TestRoundsCounter(t *testing.T) {
 	c := New(1, Network{})
 	defer c.Shutdown()
-	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
+	s := openSites(t, c, SessionQuery, []Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		ctx.AddRounds(2)
 	})}, nopHandler{})
 	defer s.Close()
@@ -229,7 +229,7 @@ func TestRoundsCounter(t *testing.T) {
 func TestBytesByKind(t *testing.T) {
 	c := New(2, Network{})
 	defer c.Shutdown()
-	s := c.NewSession(nopSites(2), nopHandler{})
+	s := openSites(t, c, SessionQuery, nopSites(2), nopHandler{})
 	defer s.Close()
 	s.Inject(0, &wire.Falsify{Pairs: []wire.VarRef{{U: 1, V: 2}}})
 	s.Inject(1, &wire.Control{})
@@ -248,7 +248,7 @@ func TestBytesByKind(t *testing.T) {
 func TestWaitQuiesceImmediateWhenQuiet(t *testing.T) {
 	c := New(1, Network{})
 	defer c.Shutdown()
-	s := c.NewSession(nopSites(1), nopHandler{})
+	s := openSites(t, c, SessionQuery, nopSites(1), nopHandler{})
 	defer s.Close()
 	done := make(chan struct{})
 	go func() {
@@ -267,7 +267,7 @@ func TestWaitQuiesceImmediateWhenQuiet(t *testing.T) {
 func TestMaxSiteBusyTracked(t *testing.T) {
 	c := New(1, Network{})
 	defer c.Shutdown()
-	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
+	s := openSites(t, c, SessionQuery, []Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		time.Sleep(5 * time.Millisecond)
 	})}, nopHandler{})
 	defer s.Close()
@@ -298,10 +298,10 @@ func TestConcurrentSessionsIsolated(t *testing.T) {
 	var wg sync.WaitGroup
 	hops := []uint32{5, 17, 9, 13}
 	for _, h := range hops {
+		s := openSites(t, c, SessionQuery, mkSites(), nopHandler{})
 		wg.Add(1)
 		go func(h uint32) {
 			defer wg.Done()
-			s := c.NewSession(mkSites(), nopHandler{})
 			defer s.Close()
 			s.Inject(0, &wire.Falsify{Pairs: []wire.VarRef{{U: 1, V: h}}})
 			if err := s.WaitQuiesce(bg); err != nil {
@@ -323,7 +323,7 @@ func TestClosedSessionDropsTraffic(t *testing.T) {
 	c := New(1, Network{})
 	defer c.Shutdown()
 	block := make(chan struct{})
-	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
+	s := openSites(t, c, SessionQuery, []Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		<-block
 		delivered.Add(1)
 	})}, nopHandler{})
@@ -337,7 +337,7 @@ func TestClosedSessionDropsTraffic(t *testing.T) {
 		t.Fatalf("WaitQuiesce on closed session = %v, want ErrClosed", err)
 	}
 	// A fresh session on the same cluster still works.
-	s2 := c.NewSession(nopSites(1), nopHandler{})
+	s2 := openSites(t, c, SessionQuery, nopSites(1), nopHandler{})
 	defer s2.Close()
 	s2.Inject(0, &wire.Control{})
 	if err := s2.WaitQuiesce(bg); err != nil {
@@ -353,7 +353,7 @@ func TestWaitQuiesceHonorsContext(t *testing.T) {
 	defer c.Shutdown()
 	block := make(chan struct{})
 	defer close(block)
-	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
+	s := openSites(t, c, SessionQuery, []Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		<-block
 	})}, nopHandler{})
 	defer s.Close()
@@ -373,7 +373,7 @@ func TestWaitQuiesceHonorsContext(t *testing.T) {
 func TestNewSessionOnShutdownCluster(t *testing.T) {
 	c := New(1, Network{})
 	c.Shutdown()
-	s := c.NewSession(nopSites(1), nopHandler{})
+	s := openSites(t, c, SessionQuery, nopSites(1), nopHandler{})
 	s.Inject(0, &wire.Control{}) // must not panic
 	if err := s.WaitQuiesce(bg); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -382,7 +382,7 @@ func TestNewSessionOnShutdownCluster(t *testing.T) {
 
 func TestShutdownIdempotent(t *testing.T) {
 	c := New(2, Network{})
-	s := c.NewSession(nopSites(2), nopHandler{})
+	s := openSites(t, c, SessionQuery, nopSites(2), nopHandler{})
 	s.Broadcast(&wire.Control{})
 	if err := s.WaitQuiesce(bg); err != nil {
 		t.Fatal(err)
@@ -397,7 +397,7 @@ func TestSessionRegistryDrains(t *testing.T) {
 	c := New(2, Network{})
 	defer c.Shutdown()
 	for i := 0; i < 50; i++ {
-		s := c.NewSession(nopSites(2), nopHandler{})
+		s := openSites(t, c, SessionQuery, nopSites(2), nopHandler{})
 		s.Broadcast(&wire.Control{Op: uint8(i)})
 		if err := s.WaitQuiesce(bg); err != nil {
 			t.Fatal(err)
@@ -430,10 +430,10 @@ func TestNumSitesAndNetworkAccessors(t *testing.T) {
 func TestSessionKindsMultiplex(t *testing.T) {
 	c := New(3, Network{})
 	defer c.Shutdown()
-	q1 := c.NewSession(nopSites(3), nopHandler{})
+	q1 := openSites(t, c, SessionQuery, nopSites(3), nopHandler{})
 	defer q1.Close()
-	m1 := c.NewSessionKind(SessionMaintenance, nopSites(3), nopHandler{})
-	m2 := c.NewSessionKind(SessionMaintenance, nopSites(3), nopHandler{})
+	m1 := openSites(t, c, SessionMaintenance, nopSites(3), nopHandler{})
+	m2 := openSites(t, c, SessionMaintenance, nopSites(3), nopHandler{})
 	if q1.Kind() != SessionQuery || m1.Kind() != SessionMaintenance {
 		t.Fatalf("kinds: %v %v", q1.Kind(), m1.Kind())
 	}
@@ -478,7 +478,7 @@ func TestStatsMinus(t *testing.T) {
 func TestFatalFailurePoisonsCluster(t *testing.T) {
 	c := New(2, Network{})
 	defer c.Shutdown()
-	s := c.NewSession(nopSites(2), nopHandler{})
+	s := openSites(t, c, SessionQuery, nopSites(2), nopHandler{})
 	boom := errors.New("daemon lost")
 	c.Fail(0, boom)
 	if err := s.WaitQuiesce(bg); err != boom {

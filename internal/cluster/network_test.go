@@ -38,7 +38,7 @@ func TestNetworkDelaysDelivery(t *testing.T) {
 	c := New(1, Network{Latency: 20 * time.Millisecond})
 	defer c.Shutdown()
 	done := make(chan time.Time, 1)
-	s := c.NewSession([]Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
+	s := openSites(t, c, SessionQuery, []Handler{HandlerFunc(func(ctx *Ctx, from int, p wire.Payload) {
 		done <- time.Now()
 	})}, nopHandler{})
 	defer s.Close()
@@ -57,7 +57,7 @@ func TestNetworkLatencyPipelines(t *testing.T) {
 	// 300ms: propagation overlaps.
 	c := New(1, Network{Latency: 30 * time.Millisecond})
 	defer c.Shutdown()
-	s := c.NewSession(nopSites(1), nopHandler{})
+	s := openSites(t, c, SessionQuery, nopSites(1), nopHandler{})
 	defer s.Close()
 	start := time.Now()
 	for i := 0; i < 10; i++ {

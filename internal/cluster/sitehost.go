@@ -182,19 +182,9 @@ func (h *SiteHost) Open(qid uint64, kind SessionKind, spec SessionSpec) error {
 		}
 		handlers[sf.id] = hd
 	}
-	return h.install(qid, handlers, spec.TraceID)
-}
-
-// OpenHandlers installs caller-built handlers, keyed by global site ID.
-// Only meaningful when caller and host share a process.
-func (h *SiteHost) OpenHandlers(qid uint64, handlers map[int]Handler) error {
-	return h.install(qid, handlers, 0)
-}
-
-func (h *SiteHost) install(qid uint64, handlers map[int]Handler, traceID uint64) error {
 	hs := &hostSession{handlers: handlers, ctxs: make(map[int]*Ctx, len(handlers))}
-	if traceID != 0 {
-		hs.trace = obs.NewSpanRecorder(traceID)
+	if spec.TraceID != 0 {
+		hs.trace = obs.NewSpanRecorder(spec.TraceID)
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -345,8 +335,7 @@ func (h *SiteHost) Shutdown() {
 // in the driver's process, messages are Go slices handed between
 // mailboxes (still fully serialized through internal/wire — byte counts
 // are exact), and link cost is emulated by the Network model. This is
-// the original runtime of the repo, now one Transport among others, and
-// the only backend that supports direct handler sessions.
+// the original runtime of the repo, now one Transport among others.
 type InProc struct {
 	n    int
 	net  Network
@@ -355,7 +344,6 @@ type InProc struct {
 }
 
 var _ Transport = (*InProc)(nil)
-var _ HandlerOpener = (*InProc)(nil)
 var _ FragmentSharer = (*InProc)(nil)
 var _ Tracer = (*InProc)(nil)
 
@@ -411,15 +399,6 @@ func (t *InProc) SharesDriverFragments() bool { return true }
 // Open implements Transport via the algorithm registry.
 func (t *InProc) Open(qid uint64, kind SessionKind, spec SessionSpec) error {
 	return t.host.Open(qid, kind, spec)
-}
-
-// OpenHandlers implements HandlerOpener: sites indexed 0..n-1.
-func (t *InProc) OpenHandlers(qid uint64, sites []Handler) error {
-	handlers := make(map[int]Handler, len(sites))
-	for i, h := range sites {
-		handlers[i] = h
-	}
-	return t.host.OpenHandlers(qid, handlers)
 }
 
 // Rehost replaces the resident fragments of the given sites with the

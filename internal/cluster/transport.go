@@ -13,11 +13,10 @@ package cluster
 //     length-prefixed wire frame.
 //
 // Because site handlers must be constructible in a process that has never
-// seen the driver's objects, sessions are opened from a SessionSpec — an
-// algorithm name resolved against the site-factory registry plus the
-// encoded query and configuration — rather than from caller-built
-// handler values. Direct handler sessions (NewSession) remain available
-// on in-process transports for tests and custom protocols.
+// seen the driver's objects, sessions are opened only from a
+// SessionSpec — an algorithm name resolved against the site-factory
+// registry plus the encoded query and configuration — on every backend
+// alike. Tests and custom protocols register their own algorithms.
 
 import (
 	"context"
@@ -78,13 +77,6 @@ type Transport interface {
 	// headers included) attributable to session qid: 0 for in-process
 	// backends, real socket bytes for networked ones.
 	WireBytes(qid uint64) int64
-}
-
-// HandlerOpener is the optional Transport extension for direct handler
-// sessions: installing caller-built Handler values is only possible when
-// the sites share the caller's address space.
-type HandlerOpener interface {
-	OpenHandlers(qid uint64, sites []Handler) error
 }
 
 // FragmentSharer is the optional Transport extension declaring whether

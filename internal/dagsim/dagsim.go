@@ -147,7 +147,7 @@ func (s *dagSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case dgpm.OpStart:
-			s.eng = dgpm.NewEngine(s.q, s.frag)
+			s.eng = dgpm.NewEngine(s.q, s.frag, nil)
 			s.bufferDeaths(s.eng.Drain())
 			s.advance(ctx)
 			for _, buf := range s.pending {

@@ -105,7 +105,7 @@ func mustPartition(t testing.TB, g *graph.Graph, assign []int32) *partition.Frag
 func TestEngineSingleFragmentEqualsCentralized(t *testing.T) {
 	q, g, _, _ := fig1()
 	fr := mustPartition(t, g, make([]int32, g.NumNodes()))
-	eng := NewEngine(q, fr.Frags[0])
+	eng := NewEngine(q, fr.Frags[0], nil)
 	want := simulation.HHK(q, g)
 	got := simulation.NewMatch(q.NumNodes())
 	for _, r := range eng.LocalMatches() {
@@ -131,7 +131,7 @@ func TestEngineOptimismKeepsCrossFragmentCandidates(t *testing.T) {
 	g := b.MustBuild()
 	fr := mustPartition(t, g, []int32{0, 1})
 	// Fragment 0 sees virtual node v1 and must keep X(a,v0) alive.
-	eng := NewEngine(q, fr.Frags[0])
+	eng := NewEngine(q, fr.Frags[0], nil)
 	if !eng.AliveLocalVar(0, v0) {
 		t.Fatal("optimistic evaluation must keep X(a,0) alive")
 	}
@@ -155,7 +155,7 @@ func TestEngineDrainReportsInNodeDeaths(t *testing.T) {
 	b.AddEdge(v2, v0)
 	g := b.MustBuild()
 	fr := mustPartition(t, g, []int32{0, 0, 1})
-	eng := NewEngine(q, fr.Frags[0])
+	eng := NewEngine(q, fr.Frags[0], nil)
 	out := eng.Drain()
 	if len(out) != 1 || out[0] != (wire.VarRef{U: 0, V: uint32(v0)}) {
 		t.Fatalf("Drain = %v, want the X(a,0) falsification", out)
@@ -165,7 +165,7 @@ func TestEngineDrainReportsInNodeDeaths(t *testing.T) {
 func TestEngineEvalsCounter(t *testing.T) {
 	q, g, _, assign := fig1()
 	fr := mustPartition(t, g, assign)
-	eng := NewEngine(q, fr.Frags[0])
+	eng := NewEngine(q, fr.Frags[0], nil)
 	if eng.Evals != 1 {
 		t.Fatalf("Evals = %d after init", eng.Evals)
 	}
@@ -388,7 +388,7 @@ func TestQuickDataShipmentBound(t *testing.T) {
 func TestFalsificationIdempotent(t *testing.T) {
 	q, g, _, assign := fig1()
 	fr := mustPartition(t, g, assign)
-	eng := NewEngine(q, fr.Frags[0])
+	eng := NewEngine(q, fr.Frags[0], nil)
 	pairs := []wire.VarRef{{U: 2, V: uint32(fr.Frags[0].Virtual[0])}}
 	eng.ApplyFalsifications(pairs)
 	snap := eng.LocalMatches()
@@ -419,7 +419,7 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 	b.AddEdge(2, 3)
 	g := b.MustBuild()
 	fr := mustPartition(t, g, []int32{0, 1, 2, 2})
-	eng1 := NewEngine(q, fr.Frags[1])
+	eng1 := NewEngine(q, fr.Frags[1], nil)
 	eqs, leaves := eng1.ExtractSubsystem([]graph.NodeID{1})
 	if len(eqs) != 1 {
 		t.Fatalf("eqs = %+v", eqs)
@@ -435,7 +435,7 @@ func TestExtractInstallRoundTrip(t *testing.T) {
 	}
 	// Install at fragment 0 and falsify the leaf: the installed equation
 	// must fire and kill X(a,0) through the local counters.
-	eng0 := NewEngine(q, fr.Frags[0])
+	eng0 := NewEngine(q, fr.Frags[0], nil)
 	eng0.InstallEquations(eqs)
 	if !eng0.AliveLocalVar(0, 0) {
 		t.Fatal("X(a,0) should still be alive")
@@ -458,7 +458,7 @@ func TestExtractSkipsConstantTrue(t *testing.T) {
 	b.AddEdge(2, 1)
 	g := b.MustBuild()
 	fr := mustPartition(t, g, []int32{0, 1, 0})
-	eng := NewEngine(q, fr.Frags[1])
+	eng := NewEngine(q, fr.Frags[1], nil)
 	eqs, leaves := eng.ExtractSubsystem([]graph.NodeID{1})
 	if len(eqs) != 0 || len(leaves) != 0 {
 		t.Fatalf("constant-true vars must not be extracted: eqs=%v leaves=%v", eqs, leaves)
@@ -476,7 +476,7 @@ func TestUnevaluatedCounts(t *testing.T) {
 	b.AddEdge(1, 2)
 	g := b.MustBuild()
 	fr := mustPartition(t, g, []int32{0, 1, 0})
-	eng := NewEngine(q, fr.Frags[1])
+	eng := NewEngine(q, fr.Frags[1], nil)
 	inV, virtV := eng.UnevaluatedCounts()
 	// In-node 1: X(a,1) alive non-const -> 1. Virtual 2: X(b,2) is
 	// const-true (b is a leaf) -> 0.
@@ -494,7 +494,7 @@ func TestDeadLocalVars(t *testing.T) {
 	b.AddEdge(1, 0)
 	g := b.MustBuild()
 	fr := mustPartition(t, g, []int32{0, 1})
-	eng := NewEngine(q, fr.Frags[0])
+	eng := NewEngine(q, fr.Frags[0], nil)
 	dead := eng.DeadLocalVars(0)
 	// X(a,0) died (no Z successor); node 0's label A matches only query a.
 	if len(dead) != 1 || dead[0] != (wire.VarRef{U: 0, V: 0}) {

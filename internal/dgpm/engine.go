@@ -88,9 +88,9 @@ type Engine struct {
 	succ [][]int32
 	// pred[vi] lists local indices with an edge to vis node vi.
 	pred [][]int32
-	// topoShared marks succ/pred as borrowed read-only from the
-	// fragment's cached topology index (planned engines); the first
-	// edge deletion deep-copies them into private rows.
+	// topoShared marks succ/pred as still borrowed read-only from the
+	// fragment's cached topology index; the first edge deletion
+	// deep-copies them into private rows.
 	topoShared bool
 
 	// alive[u][vi] — dense variable state for visible nodes.
@@ -139,42 +139,37 @@ type eqWatcher struct {
 // evaluation (procedure lEval of Fig. 4, lines 1–9): label-consistent
 // variables are created, counters initialized, and locally-refutable
 // variables falsified under the optimistic virtual-node assumption.
-// Evaluation runs in declaration order (the unplanned fallback).
-func NewEngine(q *pattern.Pattern, frag *partition.Fragment) *Engine {
-	return NewEnginePlanned(q, frag, nil)
-}
-
-// NewEnginePlanned is NewEngine under an evaluation plan. The plan is
-// advisory — the counter fixpoint is confluent, so the relation, the
-// shipped falsification set, and the termination certificate are
-// independent of evaluation order — but it changes the work profile:
 //
-//   - the fragment's dense topology (vis numbering, adjacency rows,
-//     label buckets) comes from the fragment's cached Index, built once
-//     per fragment version and shared by every planned engine — instead
-//     of being rebuilt from the Succ/Labels maps on each query;
-//   - construction is label-bucketed: the alive rows, successor
-//     counters, benefit tallies and seed scan are all driven off the
-//     index's per-label candidate buckets — touching only
-//     label-consistent candidates instead of scanning all |Vq|·|vis|
-//     cells and all |Eq| edges per adjacency entry. Exact, because
-//     initial alive state is label consistency;
-//   - per-node edge lists follow the plan's ascending-selectivity
-//     order, so exhaustion checks hit the emptiest counters first;
-//   - the seed scan visits query nodes rarest label first, so the
-//     cheapest falsifications propagate — and ship — earliest.
+// The fragment's dense topology (vis numbering, adjacency rows, label
+// buckets) is borrowed read-only from its cached Index, built once per
+// fragment version; the first edge deletion copies succ/pred. Every
+// scan is driven off the index's per-label candidate buckets, because
+// initial alive state is exactly label consistency.
 //
-// A nil (or ill-fitting) plan falls back to declaration order.
-func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
+// The plan is advisory — the counter fixpoint is confluent, so the
+// relation and the termination certificate are independent of
+// evaluation order — but it changes the work profile: per-node edge
+// lists follow its ascending-selectivity order, so exhaustion checks
+// hit the emptiest counters first, and the seed scan visits query nodes
+// rarest label first, so the cheapest falsifications propagate — and
+// ship — earliest. A nil (or ill-fitting) plan means declaration order.
+func NewEngine(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Plan) *Engine {
 	nq := q.NumNodes()
-	nl := len(frag.Local)
-	nvis := nl + len(frag.Virtual)
+	ix := frag.Index()
+	nl := int(ix.NL)
+	nvis := len(ix.Vis)
 	e := &Engine{
-		q:       q,
-		frag:    frag,
-		ext:     make(map[varKey]*extVar),
-		eqWatch: make(map[varKey][]eqWatcher),
-		nl:      int32(nl),
+		q:          q,
+		frag:       frag,
+		ext:        make(map[varKey]*extVar),
+		eqWatch:    make(map[varKey][]eqWatcher),
+		nl:         ix.NL,
+		vis:        ix.Vis,
+		visIdx:     ix.VisIdx,
+		isIn:       ix.IsIn,
+		succ:       ix.Succ,
+		pred:       ix.Pred,
+		topoShared: true,
 	}
 	e.eOut = make([][]int32, nq)
 	e.eIn = make([][]int32, nq)
@@ -188,10 +183,12 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 		}
 		e.constTrue[u] = len(q.Succ(pattern.QNode(u))) == 0
 	}
-	if pl != nil && pl.Fits(q) != nil {
-		pl = nil // ill-fitting plan: declaration-order fallback
+	// Seed order: the plan's node order, else declaration order.
+	order := make([]pattern.QNode, nq)
+	for u := range order {
+		order[u] = pattern.QNode(u)
 	}
-	if pl != nil {
+	if pl != nil && pl.Fits(q) == nil {
 		// Re-thread the per-node edge lists in plan order. Edge indices —
 		// and therefore counter rows and wire encodings — are untouched;
 		// only the iteration order over a node's edges changes.
@@ -204,196 +201,84 @@ func NewEnginePlanned(q *pattern.Pattern, frag *partition.Fragment, pl *plan.Pla
 			e.eOut[qe.parent] = append(e.eOut[qe.parent], int32(ei))
 			e.eIn[qe.child] = append(e.eIn[qe.child], int32(ei))
 		}
+		for i, pu := range pl.Nodes {
+			order[i] = pattern.QNode(pu)
+		}
 	}
-
-	// Candidate buckets for the planned construction path (nil when
-	// unplanned). Ascending, and locals precede virtuals in vis, so a
-	// bucket's local prefix ends at the first index ≥ nl.
-	var byLabel map[graph.Label][]int32
 
 	e.alive = make([][]bool, nq)
 	e.cnt = make([][]int32, len(e.qedges))
 	for i := range e.cnt {
 		e.cnt[i] = make([]int32, nl)
 	}
-
-	if pl == nil {
-		// Declaration-order construction: the dense topology and scans
-		// of Fig. 4, rebuilt from the fragment maps per query.
-		e.visIdx = make(map[graph.NodeID]int32, nvis)
-		e.vis = make([]graph.NodeID, 0, nvis)
-		e.vis = append(e.vis, frag.Local...)
-		e.vis = append(e.vis, frag.Virtual...)
-		for i, v := range e.vis {
-			e.visIdx[v] = int32(i)
+	for u := 0; u < nq; u++ {
+		row := make([]bool, nvis)
+		ql := q.Label(pattern.QNode(u))
+		for _, i := range ix.ByLabel[ql] {
+			row[i] = true
 		}
-		e.isIn = make([]bool, nl)
-		for _, v := range frag.InNodes {
-			e.isIn[e.visIdx[v]] = true
+		e.alive[u] = row
+		if !e.constTrue[u] {
+			e.unevalIn += ix.InOf[ql]
+			e.unevalVirt += ix.VirtOf[ql]
 		}
-		e.succ = make([][]int32, nl)
-		e.pred = make([][]int32, nvis)
-		for li := 0; li < nl; li++ {
-			ws := frag.Succ[frag.Local[li]]
-			if len(ws) == 0 {
-				continue
-			}
-			row := make([]int32, len(ws))
-			for i, w := range ws {
-				wi := e.visIdx[w]
-				row[i] = wi
-				e.pred[wi] = append(e.pred[wi], int32(li))
-			}
-			e.succ[li] = row
-		}
-		// Alive state: label consistency, locals and virtuals uniformly.
-		labels := make([]graph.Label, nvis)
-		for i, v := range e.vis {
-			labels[i] = frag.Labels[v]
-		}
-		for u := 0; u < nq; u++ {
-			row := make([]bool, nvis)
-			ql := q.Label(pattern.QNode(u))
-			for i := range row {
-				row[i] = ql == labels[i]
-			}
-			e.alive[u] = row
-		}
-		// Counters: cnt[e=(u,u')][li] = #alive successors matching u'.
-		for li := 0; li < nl; li++ {
-			for _, wi := range e.succ[li] {
-				for ei := range e.qedges {
-					if e.alive[e.qedges[ei].child][wi] {
-						e.cnt[ei][li]++
-					}
-				}
+	}
+	// Counters: an adjacency entry (li, wi) contributes to precisely the
+	// edges whose child label is labels[wi]. The dispatch is a linear
+	// match over the pattern's few distinct child labels — integer
+	// compares, no alive-row loads.
+	type childGroup struct {
+		label graph.Label
+		edges []int32
+	}
+	var groups []childGroup
+	for ei, qe := range e.qedges {
+		l := q.Label(qe.child)
+		found := false
+		for gi := range groups {
+			if groups[gi].label == l {
+				groups[gi].edges = append(groups[gi].edges, int32(ei))
+				found = true
+				break
 			}
 		}
-		// Unevaluated-variable tallies for the benefit function: alive,
-		// non-constant variables on in-nodes and virtual nodes.
-		for u := 0; u < nq; u++ {
-			if e.constTrue[u] {
-				continue
-			}
-			row := e.alive[u]
-			for li := 0; li < nl; li++ {
-				if row[li] && e.isIn[li] {
-					e.unevalIn++
-				}
-			}
-			for vi := int32(nl); vi < int32(nvis); vi++ {
-				if row[vi] {
-					e.unevalVirt++
-				}
-			}
+		if !found {
+			groups = append(groups, childGroup{l, []int32{int32(ei)}})
 		}
-	} else {
-		// Planned construction: borrow the fragment's cached topology
-		// index (read-only — the first edge deletion copies succ/pred)
-		// and drive every scan off its per-label candidate buckets.
-		// Initial alive state is exactly label consistency, so walking a
-		// node label's bucket replaces each dense scan.
-		ix := frag.Index()
-		e.vis = ix.Vis
-		e.visIdx = ix.VisIdx
-		e.isIn = ix.IsIn
-		e.succ = ix.Succ
-		e.pred = ix.Pred
-		e.topoShared = true
-		byLabel = ix.ByLabel
-		for u := 0; u < nq; u++ {
-			row := make([]bool, nvis)
-			ql := q.Label(pattern.QNode(u))
-			for _, i := range byLabel[ql] {
-				row[i] = true
-			}
-			e.alive[u] = row
-			if !e.constTrue[u] {
-				e.unevalIn += ix.InOf[ql]
-				e.unevalVirt += ix.VirtOf[ql]
-			}
-		}
-		// Counters: an adjacency entry (li, wi) contributes to precisely
-		// the edges whose child label is labels[wi]. The dispatch is a
-		// linear match over the pattern's few distinct child labels —
-		// integer compares, no alive-row loads.
-		type childGroup struct {
-			label graph.Label
-			edges []int32
-		}
-		var groups []childGroup
-		for ei, qe := range e.qedges {
-			l := q.Label(qe.child)
-			found := false
+	}
+	for li := 0; li < nl; li++ {
+		for _, wi := range e.succ[li] {
+			l := ix.Labels[wi]
 			for gi := range groups {
 				if groups[gi].label == l {
-					groups[gi].edges = append(groups[gi].edges, int32(ei))
-					found = true
-					break
-				}
-			}
-			if !found {
-				groups = append(groups, childGroup{l, []int32{int32(ei)}})
-			}
-		}
-		labels := ix.Labels
-		for li := 0; li < nl; li++ {
-			for _, wi := range e.succ[li] {
-				l := labels[wi]
-				for gi := range groups {
-					if groups[gi].label == l {
-						for _, ei := range groups[gi].edges {
-							e.cnt[ei][li]++
-						}
-						break
+					for _, ei := range groups[gi].edges {
+						e.cnt[ei][li]++
 					}
+					break
 				}
 			}
 		}
 	}
 
-	// Seed: alive local vars with an exhausted out-edge counter die.
-	// Under a plan the scan runs rarest label first over each label's
-	// candidate bucket only (and each node's edges in ascending
-	// selectivity), so the cheapest falsifications enter the queue —
-	// and the first Drain — earliest.
-	if pl == nil {
-		for u := 0; u < nq; u++ {
-			if e.constTrue[u] {
-				continue
-			}
-			row := e.alive[u]
-			for li := 0; li < nl; li++ {
-				if !row[li] {
-					continue
-				}
-				for _, ei := range e.eOut[u] {
-					if e.cnt[ei][li] == 0 {
-						e.killVis(pattern.QNode(u), int32(li))
-						break
-					}
-				}
-			}
+	// Seed: alive local vars with an exhausted out-edge counter die. The
+	// scan walks each query node's candidate bucket, whose local prefix
+	// is ascending (locals precede virtuals in vis).
+	for _, u := range order {
+		if e.constTrue[u] {
+			continue
 		}
-	} else {
-		for _, pu := range pl.Nodes {
-			u := pattern.QNode(pu)
-			if e.constTrue[u] {
+		row := e.alive[u]
+		for _, li := range ix.ByLabel[q.Label(u)] {
+			if li >= ix.NL {
+				break // virtual suffix of the bucket
+			}
+			if !row[li] { // killed by an earlier seed's direct hit
 				continue
 			}
-			row := e.alive[u]
-			for _, li := range byLabel[q.Label(u)] {
-				if li >= int32(nl) {
-					break // virtual suffix of the bucket
-				}
-				if !row[li] { // killed by an earlier seed's direct hit
-					continue
-				}
-				for _, ei := range e.eOut[u] {
-					if e.cnt[ei][li] == 0 {
-						e.killVis(u, li)
-						break
-					}
+			for _, ei := range e.eOut[u] {
+				if e.cnt[ei][li] == 0 {
+					e.killVis(u, li)
+					break
 				}
 			}
 		}

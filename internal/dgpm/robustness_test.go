@@ -2,11 +2,13 @@ package dgpm
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"dgs/internal/graph"
 	"dgs/internal/pattern"
+	"dgs/internal/plan"
 	"dgs/internal/simulation"
 	"dgs/internal/wire"
 )
@@ -33,9 +35,9 @@ func TestQuickDuplicateDeliveryHarmless(t *testing.T) {
 					}
 				}
 			}
-			e1 := NewEngine(q, frag)
+			e1 := NewEngine(q, frag, nil)
 			e1.ApplyFalsifications(ext)
-			e2 := NewEngine(q, frag)
+			e2 := NewEngine(q, frag, nil)
 			perm := r.Perm(len(ext))
 			for _, i := range perm {
 				e2.ApplyFalsifications([]wire.VarRef{ext[i]})
@@ -85,7 +87,7 @@ func TestQuickUnevaluatedCountersConsistent(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		q, _, fr := randomCase(r)
 		for _, frag := range fr.Frags {
-			e := NewEngine(q, frag)
+			e := NewEngine(q, frag, nil)
 			for round := 0; round < 4; round++ {
 				gi, gv := e.UnevaluatedCounts()
 				wi, wv := recount(e, q)
@@ -168,5 +170,53 @@ func TestAbsentLabelShipsAlmostNothing(t *testing.T) {
 	// bounded by the analytic limit.
 	if stats.DataBytes > int64(fr.Ef()*q.NumNodes()*6+int(stats.DataMsgs)*5) {
 		t.Fatalf("shipped too much: %d bytes", stats.DataBytes)
+	}
+}
+
+// A plan only orders: with and without one, NewEngine reaches the same
+// local fixpoint — alive state, counters and the set of in-node
+// falsifications queued for shipping — and stays in step under the
+// same external falsifications.
+func TestQuickPlanOnlyOrders(t *testing.T) {
+	sameRefs := func(a, b []wire.VarRef) bool {
+		set := make(map[wire.VarRef]int, len(a))
+		for _, r := range a {
+			set[r]++
+		}
+		for _, r := range b {
+			set[r]--
+		}
+		for _, n := range set {
+			if n != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		q, g, fr := randomCase(r)
+		pl := plan.GreedyPlan(q, plan.Collect(g))
+		for _, frag := range fr.Frags {
+			e0, e1 := NewEngine(q, frag, nil), NewEngine(q, frag, pl)
+			for round := 0; round < 3; round++ {
+				if !reflect.DeepEqual(e0.alive, e1.alive) || !reflect.DeepEqual(e0.cnt, e1.cnt) ||
+					!sameRefs(e0.Drain(), e1.Drain()) {
+					t.Logf("seed %d frag %d round %d: planned and unplanned engines diverge", seed, frag.ID, round)
+					return false
+				}
+				if len(frag.Virtual) == 0 {
+					break
+				}
+				v := frag.Virtual[r.Intn(len(frag.Virtual))]
+				ext := []wire.VarRef{{U: uint16(r.Intn(q.NumNodes())), V: uint32(v)}}
+				e0.ApplyFalsifications(ext)
+				e1.ApplyFalsifications(ext)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -98,7 +98,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	case *wire.Control:
 		switch m.Op {
 		case OpStart:
-			s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
+			s.eng = NewEngine(s.q, s.frag, s.pl)
 			if !s.cfg.Incremental {
 				// Seed the reported set from the initial evaluation so a
 				// later rebuild does not resend these.
@@ -125,7 +125,7 @@ func (s *site) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 		} else {
 			// dGPMNOpt: full re-evaluation from scratch on every message.
 			s.extFalse = append(s.extFalse, m.Pairs...)
-			s.eng = NewEnginePlanned(s.q, s.frag, s.pl)
+			s.eng = NewEngine(s.q, s.frag, s.pl)
 			s.eng.ApplyFalsifications(s.extFalse)
 			s.flushTracked(ctx, s.eng.Drain())
 		}

@@ -78,7 +78,6 @@ type Net struct {
 var _ cluster.Transport = (*Net)(nil)
 var _ cluster.Recoverer = (*Net)(nil)
 var _ cluster.LossNotifier = (*Net)(nil)
-var _ cluster.HandlerOpener = (*Net)(nil)
 
 // rehoster is what the inner transport must provide for Recover;
 // cluster.InProc implements it.
@@ -119,17 +118,6 @@ func (t *Net) Open(qid uint64, kind cluster.SessionKind, spec cluster.SessionSpe
 
 // Close implements cluster.Transport.
 func (t *Net) Close(qid uint64) { t.inner.Close(qid) }
-
-// OpenHandlers forwards cluster.HandlerOpener when the inner transport
-// supports it, so driver-built handler sessions work under fault
-// injection too.
-func (t *Net) OpenHandlers(qid uint64, sites []cluster.Handler) error {
-	ho, ok := t.inner.(cluster.HandlerOpener)
-	if !ok {
-		return fmt.Errorf("faultnet: inner transport %T cannot open handler sessions", t.inner)
-	}
-	return ho.OpenHandlers(qid, sites)
-}
 
 // Send implements cluster.Transport: messages to a dead site are
 // dropped, others are forwarded after the seeded delay jitter.

@@ -3,22 +3,26 @@ package faultnet_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"runtime"
 	"testing"
 	"time"
 
 	"dgs/internal/cluster"
+	"dgs/internal/partition"
 	"dgs/internal/transport/faultnet"
 	"dgs/internal/wire"
 )
 
 var bg = context.Background()
 
-// echoSite forwards each falsify message to the next site, decrementing
+// algoRing forwards each falsify message to the next site, decrementing
 // a hop budget carried in the first pair's V field — traffic that keeps
 // a session busy for as long as the budget lasts.
-type echoSite struct{}
+const algoRing = "test-faultnet-ring"
 
-func (echoSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
+func ringSite(ctx *cluster.Ctx, from int, p wire.Payload) {
 	f, ok := p.(*wire.Falsify)
 	if !ok || len(f.Pairs) == 0 || f.Pairs[0].V == 0 {
 		return
@@ -27,16 +31,50 @@ func (echoSite) Recv(ctx *cluster.Ctx, from int, p wire.Payload) {
 	ctx.Send(next, &wire.Falsify{Pairs: []wire.VarRef{{U: f.Pairs[0].U, V: f.Pairs[0].V - 1}}})
 }
 
-type nopHandler struct{}
-
-func (nopHandler) Recv(*cluster.Ctx, int, wire.Payload) {}
-
-func ringSites(n int) []cluster.Handler {
-	sites := make([]cluster.Handler, n)
-	for i := range sites {
-		sites[i] = echoSite{}
+// TestMain registers the ring algorithm once per process (so -count=N
+// reruns cannot register it twice) and, after a passing run, fails the
+// binary if goroutines outlive the tests.
+func TestMain(m *testing.M) {
+	cluster.RegisterAlgorithm(algoRing, func(cluster.SessionSpec, *partition.Fragment, []int32) (cluster.Handler, error) {
+		return cluster.HandlerFunc(ringSite), nil
+	})
+	before := runtime.NumGoroutine()
+	code := m.Run()
+	if code == 0 {
+		if err := settleGoroutines(before); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
 	}
-	return sites
+	os.Exit(code)
+}
+
+// settleGoroutines waits, with bounded retries, for the goroutine count
+// to fall back to base; exiting actors and timers need a moment after
+// Shutdown returns. On failure it reports every live stack.
+func settleGoroutines(base int) error {
+	var n int
+	for i := 0; i < 100; i++ {
+		if n = runtime.NumGoroutine(); n <= base {
+			return nil
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return fmt.Errorf("goroutine leak: %d live after the tests, %d before\n%s", n, base, buf)
+}
+
+// openRing opens a query session running the ring algorithm on every
+// site.
+func openRing(t *testing.T, c *cluster.Cluster) *cluster.Session {
+	t.Helper()
+	s, err := c.OpenSession(cluster.SessionQuery, cluster.SessionSpec{Algo: algoRing},
+		cluster.HandlerFunc(func(*cluster.Ctx, int, wire.Payload) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func newChaosCluster(t *testing.T, n int, opts faultnet.Options) (*faultnet.Net, *cluster.Cluster) {
@@ -58,7 +96,7 @@ func TestKillFailsSessionWithSiteLost(t *testing.T) {
 	fn, c := newChaosCluster(t, 4, faultnet.Options{Seed: 7})
 	var loss error
 	fn.OnSiteLoss(func(err error) { loss = err })
-	s := c.NewSession(ringSites(4), nopHandler{})
+	s := openRing(t, c)
 	defer s.Close()
 	s.Inject(0, hops(1<<30)) // effectively endless
 	fn.Kill(2)
@@ -81,7 +119,7 @@ func TestKillFailsSessionWithSiteLost(t *testing.T) {
 func TestResumeAfterRevive(t *testing.T) {
 	fn, c := newChaosCluster(t, 3, faultnet.Options{Seed: 1})
 	fn.Kill(1)
-	s := c.NewSession(ringSites(3), nopHandler{})
+	s := openRing(t, c)
 	if err := s.WaitQuiesce(bg); !errors.Is(err, cluster.ErrSiteLost) {
 		t.Fatalf("session on suspended cluster = %v, want ErrSiteLost", err)
 	}
@@ -91,7 +129,7 @@ func TestResumeAfterRevive(t *testing.T) {
 	if susp, _ := c.Suspended(); susp {
 		t.Fatal("cluster still suspended after Resume")
 	}
-	s2 := c.NewSession(ringSites(3), nopHandler{})
+	s2 := openRing(t, c)
 	defer s2.Close()
 	s2.Inject(0, hops(10))
 	if err := s2.WaitQuiesce(bg); err != nil {
@@ -107,7 +145,7 @@ func TestResumeAfterRevive(t *testing.T) {
 func TestHalfOpenSilentUntilDetected(t *testing.T) {
 	fn, c := newChaosCluster(t, 3, faultnet.Options{Seed: 3})
 	fn.HalfOpen(1)
-	s := c.NewSession(ringSites(3), nopHandler{})
+	s := openRing(t, c)
 	defer s.Close()
 	s.Inject(0, hops(50)) // the ring stalls at the silent site
 	ctx, cancel := context.WithTimeout(bg, 300*time.Millisecond)
@@ -128,7 +166,7 @@ func TestHalfOpenSilentUntilDetected(t *testing.T) {
 // real work drains, having routed every hop.
 func TestDuplicateRetirementsClamped(t *testing.T) {
 	_, c := newChaosCluster(t, 4, faultnet.Options{Seed: 11, DupRetire: 1})
-	s := c.NewSession(ringSites(4), nopHandler{})
+	s := openRing(t, c)
 	defer s.Close()
 	s.Inject(0, hops(100))
 	if err := s.WaitQuiesce(bg); err != nil {

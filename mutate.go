@@ -47,9 +47,9 @@ type ApplyStats struct {
 	Delta Stats
 	// Maintenance aggregates the standing queries' refinement traffic —
 	// incremental falsification propagation for a deletion-only batch,
-	// full re-evaluation when the batch inserts edges. Standing queries
-	// sharing one maintenance session (planner-on deployments) pay their
-	// session's cost once here, not once per handle.
+	// full re-evaluation when the batch inserts edges. Every standing
+	// query lives in the deployment's one shared maintenance session, so
+	// its cost is counted once here, not once per handle.
 	Maintenance Stats
 	// Reevaluated counts standing queries that fell back to full
 	// re-evaluation (insertions in the batch, or a previously failed
@@ -196,15 +196,15 @@ func (d *Deployment) Apply(ctx context.Context, ops []EdgeOp) (ApplyStats, error
 // returned handle serves the relation without further distributed work;
 // Close it when the standing query is no longer needed.
 //
-// On a planner-on deployment, standing queries share ONE maintenance
-// session: each distinct pattern (modulo node renaming — canonical-form
-// equality) is one block of a disjoint pattern union, and a Watch whose
-// pattern is equivalent to a live one joins its block without any
-// distributed work at all. A pattern whose label is absent from the
-// graph never opens a session: its handle serves ∅ statically, since
+// Standing queries share ONE maintenance session: each distinct pattern
+// (modulo node renaming — canonical-form equality) is one block of a
+// disjoint pattern union, and a Watch whose pattern is equivalent to a
+// live, up-to-date one joins its block without any distributed work at
+// all. On a planner-on deployment, a pattern whose label is absent from
+// the graph never opens a session: its handle serves ∅ statically, since
 // the node set and labels of a deployed graph are fixed. With
-// WithPlannerDisabled, every Watch holds its own session (the unshared
-// baseline).
+// WithPlannerDisabled that short-circuit is off and such a pattern joins
+// the shared session like any other.
 func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -231,11 +231,6 @@ func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error)
 		// updates cannot mint label occurrences), so the handle is
 		// static — no session, no refresh work, never stale.
 		w = &Maintained{d: d, q: q, cur: &Match{m: emptyRelation(q.p.NumNodes())}}
-	} else if d.planner == "" {
-		var err error
-		if w, err = d.watchUnshared(ctx, q); err != nil {
-			return nil, errorf("watch: %w", err)
-		}
 	} else {
 		var err error
 		if w, err = d.watchShared(ctx, q); err != nil {
@@ -246,24 +241,6 @@ func (d *Deployment) Watch(ctx context.Context, q *Pattern) (*Maintained, error)
 	d.watchers[w] = struct{}{}
 	d.watchMu.Unlock()
 	return w, nil
-}
-
-// watchUnshared gives the standing query a private one-block shard —
-// its own maintenance session, the planner-off baseline.
-func (d *Deployment) watchUnshared(ctx context.Context, q *Pattern) (*Maintained, error) {
-	st, err := dgpm.NewStanding(ctx, d.c, d.part.fr, []*pattern.Pattern{q.p}, nil)
-	if err != nil {
-		return nil, err
-	}
-	sh := &watchShard{
-		d:         d,
-		st:        st,
-		refreshed: d.version.Load(),
-		last:      fromCluster(st.LastStats()),
-	}
-	b := &watchBlock{q: q.p, perm: identityPerm(q.p.NumNodes()), refs: 1}
-	sh.blocks = []*watchBlock{b}
-	return newHandle(d, q, sh, b, identityPerm(q.p.NumNodes())), nil
 }
 
 // watchShared adds the standing query to the deployment's single shared
@@ -284,9 +261,17 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	// Equivalent to a live block? Join it: compose the two canonical
-	// permutations into a node remap and read the leader's relation.
+	// permutations into a node remap and read the leader's relation. A
+	// shard behind the graph (a cancelled refresh left it stale) is
+	// re-evaluated first, so the joiner never serves an outdated relation
+	// as fresh.
 	for _, b := range sh.blocks {
 		if b.refs > 0 && b.key == c.Key {
+			if ver := d.version.Load(); sh.stale || sh.refreshed != ver {
+				if err := sh.reevaluateLocked(ctx, ver); err != nil {
+					return nil, err
+				}
+			}
 			b.refs++
 			remap := composeRemap(b.perm, c.Perm)
 			w := newHandle(d, q, sh, b, remap)
@@ -325,9 +310,8 @@ func (d *Deployment) watchShared(ctx context.Context, q *Pattern) (*Maintained, 
 }
 
 // newHandle builds a Maintained over its shard block, snapshotting the
-// current relation. Callers must hold d.state (read) — and, for shared
-// shards, arrange that no concurrent rebuild races the snapshot (the
-// shared path holds sh.mu).
+// current relation. Callers must hold d.state (read) and sh.mu, so no
+// concurrent rebuild races the snapshot.
 func newHandle(d *Deployment, q *Pattern, sh *watchShard, b *watchBlock, remap []int) *Maintained {
 	w := &Maintained{d: d, q: q, shard: sh, block: b, remap: remap}
 	if m := sh.snapshotLocked(b, remap); m != nil {
@@ -369,11 +353,10 @@ func emptyRelation(n int) *simulation.Match {
 	return simulation.NewMatch(n).Canonical()
 }
 
-// watchShard is a set of standing queries fed by one dgpm.Standing
-// session: its blocks, one per distinct pattern, are read by one or
-// more Maintained handles each. Planner-on deployments keep a single
-// shared shard; planner-off handles get private one-block shards. All
-// fields after d are guarded by mu.
+// watchShard is the deployment's set of standing queries fed by one
+// dgpm.Standing session: its blocks, one per distinct pattern, are read
+// by one or more Maintained handles each. All fields after d are
+// guarded by mu.
 type watchShard struct {
 	d *Deployment
 
@@ -434,6 +417,10 @@ func (sh *watchShard) refresh(ctx context.Context, ver uint64, dels [][2]NodeID,
 func (sh *watchShard) reevaluate(ctx context.Context, ver uint64) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return sh.reevaluateLocked(ctx, ver)
+}
+
+func (sh *watchShard) reevaluateLocked(ctx context.Context, ver uint64) error {
 	if sh.st == nil {
 		return nil
 	}
@@ -506,7 +493,7 @@ func (sh *watchShard) release(b *watchBlock) {
 // session evaluates, its canonical form, and how many open handles read
 // it. Guarded by the owning shard's mu.
 type watchBlock struct {
-	key  string           // canonical key ("" for private planner-off shards)
+	key  string           // canonical key of the leader pattern
 	q    *pattern.Pattern // leader pattern, as evaluated by the session
 	perm []int            // leader node -> canonical position
 	refs int

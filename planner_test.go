@@ -18,8 +18,9 @@ import (
 
 // TestPlannerParityMatrix runs every algorithm over a default
 // (planner-on) and a WithPlannerDisabled deployment of the same
-// partition, across all three transports (in-process, coalescing TCP,
-// v1-pinned TCP): the match relations must be identical — both equal
+// partition, across every conformance transport mode (in-process, TCP
+// on two daemons, TCP on four daemons): the match relations must be
+// identical — both equal
 // the centralized oracle — and so must the result accounting
 // (ResultBytes serializes the final relation, which order cannot
 // change).
@@ -63,7 +64,7 @@ func TestPlannerParityMatrix(t *testing.T) {
 			}
 			out = append(out, world{
 				name: "tree", g: g, part: part, tree: true,
-				qs:   []confQuery{{"treeQ", GenTreePattern(dict, 4, 95)}},
+				qs: []confQuery{{"treeQ", GenTreePattern(dict, 4, 95)}},
 			})
 		}
 		return out
@@ -400,6 +401,63 @@ func TestWatchSharedAcrossRenamedPatterns(t *testing.T) {
 	}
 }
 
+// TestWatchJoinStaleShardReevaluates: an Apply whose refresh was
+// cancelled leaves the shared shard behind the graph. A Watch that then
+// joins an equivalent block must not serve the pre-batch relation as
+// fresh: the join re-evaluates the shard first.
+func TestWatchJoinStaleShardReevaluates(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{81, 82, 83} {
+		dict := NewDict()
+		g := GenSynthetic(dict, 400, 1200, 81)
+		part, err := PartitionRandom(g, 4, 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := Deploy(part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1, err := ParsePattern(dict, "node a l0\nnode b l1\nedge a b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		q2, err := ParsePattern(dict, "node x l0\nnode y l1\nedge x y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w1, err := dep.Watch(ctx, q1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := dep.Apply(cctx, GenUpdateStream(g, 600, 0, seed)); err == nil {
+			t.Fatalf("seed %d: Apply with a cancelled ctx must report the failed refresh", seed)
+		}
+		if !w1.Stale() {
+			t.Fatalf("seed %d: the cancelled refresh must leave the first handle stale", seed)
+		}
+		w2, err := dep.Watch(ctx, q2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w2.shard != w1.shard || w2.block != w1.block {
+			t.Fatalf("seed %d: the equivalent watch must join the live block", seed)
+		}
+		if w2.Stale() {
+			t.Fatalf("seed %d: a freshly joined handle must not be stale", seed)
+		}
+		want := Simulate(q2, part.CurrentGraph())
+		if got := w2.Current(); !got.Equal(want) {
+			t.Fatalf("seed %d: joined handle serves %d pairs, oracle has %d", seed, got.NumPairs(), want.NumPairs())
+		}
+		w2.Close()
+		w1.Close()
+		dep.Close()
+	}
+}
+
 // TestWatchAbsentLabelStatic: a standing query over an absent label
 // never opens a maintenance session — its handle serves ∅ statically
 // and no Apply batch re-evaluates or stales it (edge updates cannot
@@ -454,8 +512,9 @@ func TestWatchAbsentLabelStatic(t *testing.T) {
 	if err := w.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The planner-off baseline evaluates the same pattern with a real
-	// session and reaches the same ∅.
+	// With the planner off there is no Empty verdict: the pattern joins
+	// the deployment's one shared session like any other Watch and the
+	// full protocol reaches the same ∅ as the oracle.
 	part2, err := PartitionRandom(g, 4, 75)
 	if err != nil {
 		t.Fatal(err)
@@ -470,19 +529,31 @@ func TestWatchAbsentLabelStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wOff.Close()
-	if wOff.shard == nil {
-		t.Fatal("planner-off watch must hold its own session")
+	q2, err := ParsePattern(dict, "node a l0\nnode b l1\nedge a b")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wOff.Current().Ok() {
-		t.Fatal("planner-off absent-label watch must still serve ∅")
+	wOff2, err := depOff.Watch(ctx, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wOff2.Close()
+	if wOff.shard == nil || wOff.shard != depOff.shard || wOff2.shard != depOff.shard {
+		t.Fatal("planner-off watches must join the deployment's shared shard")
+	}
+	if wOff.Current().Ok() || !wOff.Current().Equal(Simulate(q, part2.CurrentGraph())) {
+		t.Fatal("planner-off absent-label watch must serve the oracle's ∅")
+	}
+	if !wOff2.Current().Equal(Simulate(q2, part2.CurrentGraph())) {
+		t.Fatal("planner-off watch sharing the shard diverges from oracle")
 	}
 }
 
 // TestSharedMaintenanceCheaperThanIndependent: 4 equivalent standing
-// queries on a planner-on deployment share one session, so an
-// insertion batch (full re-evaluation) bills roughly a quarter of what
-// 4 independent planner-off sessions pay. The acceptance bar is ≥1.5×;
-// the structural expectation is ~4×, so assert ≥2×.
+// queries on one deployment share one session, so an insertion batch
+// (full re-evaluation) bills roughly a quarter of what 4 deployments
+// holding one Watch each pay in total. The acceptance bar is ≥1.5×; the
+// structural expectation is ~4×, so assert ≥2×.
 func TestSharedMaintenanceCheaperThanIndependent(t *testing.T) {
 	ctx := context.Background()
 	dict := NewDict()
@@ -504,56 +575,65 @@ func TestSharedMaintenanceCheaperThanIndependent(t *testing.T) {
 			t.Fatalf("renaming %d does not share the canonical key", i)
 		}
 	}
-	deployArm := func(off bool) (*Deployment, *Partition, []*Maintained) {
+	deploy := func() (*Deployment, *Partition) {
 		t.Helper()
 		part, err := PartitionRandom(g, 4, 81)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var opts []DeployOption
-		if off {
-			opts = append(opts, WithPlannerDisabled())
-		}
-		dep, err := Deploy(part, opts...)
+		dep, err := Deploy(part)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { dep.Close() })
-		ws := make([]*Maintained, len(qs))
-		for i, q := range qs {
-			if ws[i], err = dep.Watch(ctx, q); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dep, part, ws
+		return dep, part
 	}
-	depShared, partShared, wsShared := deployArm(false)
-	depSolo, partSolo, wsSolo := deployArm(true)
+	watch := func(dep *Deployment, q *Pattern) *Maintained {
+		t.Helper()
+		w, err := dep.Watch(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	depShared, partShared := deploy()
+	wsShared := make([]*Maintained, len(qs))
+	for i, q := range qs {
+		wsShared[i] = watch(depShared, q)
+	}
+	depsSolo := make([]*Deployment, len(qs))
+	partsSolo := make([]*Partition, len(qs))
+	wsSolo := make([]*Maintained, len(qs))
+	for i, q := range qs {
+		depsSolo[i], partsSolo[i] = deploy()
+		wsSolo[i] = watch(depsSolo[i], q)
+	}
 	for i := 1; i < len(wsShared); i++ {
 		if wsShared[i].shard != wsShared[0].shard || wsShared[i].block != wsShared[0].block {
-			t.Fatal("planner-on equivalent watches must share one block")
-		}
-		if wsSolo[i].shard == wsSolo[0].shard {
-			t.Fatal("planner-off watches must hold independent sessions")
+			t.Fatal("equivalent watches must share one block")
 		}
 	}
 
-	// The same batch (valid against both arms' identical graphs), with
+	// The same batch (valid against every arm's identical graph), with
 	// insertions so every session re-evaluates.
 	ops := GenUpdateStream(partShared.CurrentGraph(), 10, 30, 82)
 	stShared, err := depShared.Apply(ctx, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stSolo, err := depSolo.Apply(ctx, ops)
-	if err != nil {
-		t.Fatal(err)
+	var stSolo ApplyStats
+	for _, dep := range depsSolo {
+		st, err := dep.Apply(ctx, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addStats(&stSolo.Maintenance, st.Maintenance)
 	}
 	for i, q := range qs {
 		if !wsShared[i].Current().Equal(Simulate(q, partShared.CurrentGraph())) {
 			t.Fatalf("shared watch %d diverges from oracle", i)
 		}
-		if !wsSolo[i].Current().Equal(Simulate(q, partSolo.CurrentGraph())) {
+		if !wsSolo[i].Current().Equal(Simulate(q, partsSolo[i].CurrentGraph())) {
 			t.Fatalf("independent watch %d diverges from oracle", i)
 		}
 	}
